@@ -1,18 +1,14 @@
-"""Command-line interface: parse complex files, run queries, print text or JSON.
+"""Command-line interface: run one query on a complex file, print text or JSON.
 
-File format (line-oriented, ``#`` starts a comment):
+Every command is one entry of ``_COMMANDS``: its help, its flag groups, a
+compute step that returns the report's fields in order, and a text renderer
+of those fields.  With ``--json`` the fields go out as one JSON report, where
+a complex-valued field stands for the complex's description (vertices,
+facets, kind, dimension, purity, f- and h-vector).  The file format is that
+of :mod:`shellability.fileformat`.
 
-    vertices: a b c d e f g
-    facets: c e g / b e g / a e f
-
-One ``facets:`` or ``nonfaces:`` line is required.  Faces are ``/``-separated
-groups of whitespace-separated labels; ``()`` denotes the empty face.  The
-``vertices:`` line is optional for facet input (labels are then collected in
-first-occurrence order) and required for nonface input.  An empty ``facets:``
-line is the void complex.
-
-Boolean commands exit 0 for true and 1 for false; 2 flags usage or parse
-errors, 3 domain errors.
+Exit codes: 1 when the query answers no (a false verdict, or no shelling
+order), otherwise 0; 2 flags usage or parse errors, 3 domain errors.
 """
 
 from __future__ import annotations
@@ -21,19 +17,11 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .complexes import (
-    Face,
-    SimplicialComplex,
-    VertexSet,
-    f_vector,
-    from_facets,
-    from_nonfaces,
-    h_vector,
-    is_pure,
-)
+from .complexes import Face, SimplicialComplex, f_vector, h_vector, is_pure
 from .decomposability import (
     is_k_decomposable,
     is_vertex_decomposable,
@@ -43,6 +31,14 @@ from .decomposability import (
 from .duality import alexander_dual, linear_quotients_from_shelling, minimal_nonfaces
 from .errors import ComplexError, InvalidPermutation, ParseError
 from .face_ops import face_deletion, link
+from .fileformat import (  # parse_complex is re-exported, not used here
+    _faces_text,
+    _line,
+    parse_complex,
+    parse_complex_with_order,
+    serialize_complex,
+    serialize_nonfaces,
+)
 from .shelling import (
     DEFAULT,
     PermutationStrategy,
@@ -52,174 +48,17 @@ from .shelling import (
     shelling_order,
 )
 
-EMPTY_FACE_TOKEN = "()"
-
-_TOKENS = re.compile(r"[^\s/]+|/")
-
-
-def _parse_tokens(payload: str, lineno: int, offset: int):
-    """Split a directive payload into face segments of (token, column) pairs."""
-    segments: list[list[tuple[str, int]]] = [[]]
-    for match in _TOKENS.finditer(payload):
-        token = match.group()
-        column = offset + match.start() + 1
-        if token == "/":
-            segments.append([])
-        else:
-            segments[-1].append((token, column))
-    for segment in segments:
-        if len(segment) > 1 and any(tok == EMPTY_FACE_TOKEN for tok, _ in segment):
-            raise ParseError(
-                f"{EMPTY_FACE_TOKEN!r} must stand alone in its face", lineno, segment[0][1]
-            )
-    return [s for s in segments if s]
-
-
-def _parse_vertex_labels(payload: str, lineno: int, offset: int) -> list[str]:
-    labels: list[str] = []
-    seen: set[str] = set()
-    for match in _TOKENS.finditer(payload):
-        token = match.group()
-        column = offset + match.start() + 1
-        if token == "/":
-            raise ParseError("'/' is not allowed in the vertex list", lineno, column)
-        if token in seen:
-            raise ParseError(f"duplicate vertex label {token!r}", lineno, column)
-        seen.add(token)
-        labels.append(token)
-    return labels
-
-
-def _vertex_set(labels: Sequence[str], lineno: int) -> VertexSet:
-    try:
-        return VertexSet(tuple(labels))
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno, 1) from exc
-
-
-def _face_from_segment(vset: VertexSet, segment, lineno: int) -> Face:
-    if len(segment) == 1 and segment[0][0] == EMPTY_FACE_TOKEN:
-        return 0
-    mask = 0
-    for token, column in segment:
-        pos = vset.index.get(token)
-        if pos is None:
-            raise ParseError(f"unknown vertex label {token!r}", lineno, column)
-        mask |= 1 << pos
-    return mask
-
-
-def _parse(text: str) -> tuple[SimplicialComplex, tuple[Face, ...]]:
-    vertex_labels: list[str] | None = None
-    vertex_line = 0
-    body: tuple[str, str, int, int] | None = None
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        cut = raw.find("#")
-        line = raw if cut < 0 else raw[:cut]
-        if not line.strip():
-            continue
-        head, sep, rest = line.partition(":")
-        key = head.strip()
-        column = len(head) - len(head.lstrip()) + 1
-        if not sep or key not in ("vertices", "facets", "nonfaces"):
-            raise ParseError(
-                "expected a 'vertices:', 'facets:' or 'nonfaces:' line", lineno, column
-            )
-        if key == "vertices":
-            if vertex_labels is not None:
-                raise ParseError("duplicate 'vertices:' line", lineno, column)
-            vertex_labels = _parse_vertex_labels(rest, lineno, len(head) + 1)
-            vertex_line = lineno
-        else:
-            if body is not None:
-                raise ParseError("duplicate face list", lineno, column)
-            body = (key, rest, lineno, len(head) + 1)
-    if body is None:
-        raise ParseError("missing 'facets:' or 'nonfaces:' line", max(lineno, 1), 1)
-
-    kind, payload, body_line, offset = body
-    segments = _parse_tokens(payload, body_line, offset)
-    if kind == "facets":
-        if vertex_labels is None:
-            vertex_labels = []
-            seen: set[str] = set()
-            for segment in segments:
-                for token, _ in segment:
-                    if token != EMPTY_FACE_TOKEN and token not in seen:
-                        seen.add(token)
-                        vertex_labels.append(token)
-            vertex_line = body_line
-        vset = _vertex_set(vertex_labels, vertex_line)
-        faces = [_face_from_segment(vset, s, body_line) for s in segments]
-        cplx = from_facets(vset, faces)
-        surviving = set(cplx.facets)
-        as_parsed: list[Face] = []
-        for face in faces:
-            if face in surviving and face not in as_parsed:
-                as_parsed.append(face)
-        return cplx, tuple(as_parsed)
-
-    if vertex_labels is None:
-        raise ParseError("nonface input requires a 'vertices:' line", body_line, 1)
-    vset = _vertex_set(vertex_labels, vertex_line)
-    nonfaces = [_face_from_segment(vset, s, body_line) for s in segments]
-    cplx = from_nonfaces(vset, nonfaces)
-    return cplx, cplx.facets
-
-
-def parse_complex(text: str) -> SimplicialComplex:
-    """Parse the line-oriented complex format."""
-    return _parse(text)[0]
-
-
-def parse_complex_with_order(text: str) -> tuple[SimplicialComplex, tuple[Face, ...]]:
-    """Parse, also returning the facets in first-appearance order (canonical
-    order for nonface input, which lists no facets)."""
-    return _parse(text)
-
-
-def _face_str(cplx: SimplicialComplex, face: Face) -> str:
-    if face == 0:
-        return EMPTY_FACE_TOKEN
-    return " ".join(cplx.vertices.face_labels(face))
-
-
-def _faces_str(cplx: SimplicialComplex, faces: Sequence[Face]) -> str:
-    return " / ".join(_face_str(cplx, f) for f in faces)
-
-
-def _line(key: str, value: str) -> str:
-    return f"{key}:" + (f" {value}" if value else "")
-
-
-def serialize_complex(cplx: SimplicialComplex) -> str:
-    """Canonical two-line document; round-trips through :func:`parse_complex`."""
-    return (
-        _line("vertices", " ".join(cplx.vertices.labels))
-        + "\n"
-        + _line("facets", _faces_str(cplx, cplx.facets))
-        + "\n"
-    )
-
-
-def serialize_nonfaces(cplx: SimplicialComplex, gens: Sequence[Face]) -> str:
-    """Vertices plus nonface list; parses back to the complex they present."""
-    return (
-        _line("vertices", " ".join(cplx.vertices.labels))
-        + "\n"
-        + _line("nonfaces", _faces_str(cplx, gens))
-        + "\n"
-    )
-
 
 def _bool_str(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _base_report(cplx: SimplicialComplex, name: str) -> dict:
+def _label_lists(cplx: SimplicialComplex, faces: Sequence[Face]) -> list[list[str]]:
+    return [list(cplx.vertices.face_labels(f)) for f in faces]
+
+
+def _describe(cplx: SimplicialComplex) -> dict:
     return {
-        "name": name,
         "vertices": list(cplx.vertices.labels),
         "facets": [list(f) for f in cplx.facet_labels()],
         "kind": cplx.kind.value,
@@ -230,23 +69,22 @@ def _base_report(cplx: SimplicialComplex, name: str) -> dict:
     }
 
 
-def _emit_json(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+def _report(fields: dict) -> dict:
+    report: dict = {}
+    for key, value in fields.items():
+        if isinstance(value, SimplicialComplex):
+            report.update(_describe(value))
+        else:
+            report[key] = value
+    return report
 
 
-def _label_lists(cplx: SimplicialComplex, faces: Sequence[Face]) -> list[list[str]]:
-    return [list(cplx.vertices.face_labels(f)) for f in faces]
-
-
-def _load(args) -> tuple[SimplicialComplex, str, tuple[Face, ...]]:
+def _load(args) -> tuple[SimplicialComplex, tuple[Face, ...], str]:
     if args.source == "-":
-        text = sys.stdin.read()
-        name = "<stdin>"
+        text, name = sys.stdin.read(), "<stdin>"
     else:
-        text = Path(args.source).read_text()
-        name = Path(args.source).name
-    cplx, parsed_order = parse_complex_with_order(text)
-    return cplx, name, parsed_order
+        text, name = Path(args.source).read_text(), Path(args.source).name
+    return (*parse_complex_with_order(text), name)
 
 
 def _strategy(args, cplx: SimplicialComplex, parsed_order) -> SearchStrategy:
@@ -265,181 +103,169 @@ def _strategy(args, cplx: SimplicialComplex, parsed_order) -> SearchStrategy:
     return DEFAULT
 
 
-def _cmd_info(args) -> int:
-    cplx, name, _ = _load(args)
-    if args.json:
-        _emit_json(_base_report(cplx, name))
-        return 0
-    print(f"name: {name}")
-    print(_line("vertices", " ".join(cplx.vertices.labels)))
-    print(f"kind: {cplx.kind.value}")
-    print(f"dimension: {cplx.dimension()}")
-    print(f"pure: {_bool_str(is_pure(cplx))}")
-    print(_line("facets", _faces_str(cplx, cplx.facets)))
-    print(_line("f-vector", " ".join(map(str, f_vector(cplx)))))
-    print(_line("h-vector", " ".join(map(str, h_vector(cplx)))))
-    return 0
-
-
-def _verdict(args, cplx, name, key: str, value: bool, extra: dict | None = None) -> int:
-    if args.json:
-        report = _base_report(cplx, name)
-        report.update(extra or {})
-        report[key] = value
-        _emit_json(report)
-    else:
-        print(_bool_str(value))
-    return 0 if value else 1
-
-
-def _cmd_shellable(args) -> int:
-    cplx, name, _ = _load(args)
-    return _verdict(args, cplx, name, "shellable", is_shellable(cplx))
-
-
-def _cmd_vertex_decomposable(args) -> int:
-    cplx, name, _ = _load(args)
-    return _verdict(args, cplx, name, "vertex_decomposable", is_vertex_decomposable(cplx))
-
-
-def _cmd_k_decomposable(args) -> int:
-    cplx, name, _ = _load(args)
-    value = is_k_decomposable(cplx, args.k)
-    return _verdict(args, cplx, name, "k_decomposable", value, extra={"k": args.k})
-
-
-def _cmd_shelling_order(args) -> int:
-    cplx, name, parsed_order = _load(args)
-    result = shelling_order(cplx, _strategy(args, cplx, parsed_order))
-    if args.json:
-        report = _base_report(cplx, name)
-        if result is None:
-            report["shelling_order"] = None
-            report["restrictions"] = None
-        else:
-            report["shelling_order"] = _label_lists(cplx, result.facets)
-            report["restrictions"] = _label_lists(cplx, result.restrictions)
-        _emit_json(report)
-        return 0 if result is not None else 1
-    if result is None:
-        print("no shelling order")
-        return 1
-    print(_line("order", _faces_str(cplx, result.facets)))
-    print(_line("restrictions", _faces_str(cplx, result.restrictions)))
-    return 0
-
-
-def _cmd_linear_quotients(args) -> int:
-    cplx, name, parsed_order = _load(args)
-    result = shelling_order(cplx, _strategy(args, cplx, parsed_order))
-    steps = (
-        None
-        if result is None
-        else linear_quotients_from_shelling(cplx, list(result.facets))
-    )
-    if args.json:
-        report = _base_report(cplx, name)
-        report["shelling_order"] = (
-            None if result is None else _label_lists(cplx, result.facets)
-        )
-        report["linear_quotients"] = (
-            None if steps is None else [list(s) for s in steps]
-        )
-        _emit_json(report)
-        return 0 if result is not None else 1
-    if result is None:
-        print("no shelling order")
-        return 1
-    print(_line("order", _faces_str(cplx, result.facets)))
-    print(_line("quotients", " / ".join(" ".join(step) for step in steps)))
-    return 0
-
-
-def _cmd_shedding(args) -> int:
-    cplx, name, _ = _load(args)
-    faces = shedding_faces(cplx, args.k)
-    vertices = shedding_vertices(cplx) if args.k == 0 else None
-    if args.json:
-        report = _base_report(cplx, name)
-        report["k"] = args.k
-        report["shedding_faces"] = _label_lists(cplx, faces)
-        if vertices is not None:
-            report["shedding_vertices"] = _label_lists(cplx, vertices)
-        _emit_json(report)
-        return 0
-    print(_line("shedding faces", _faces_str(cplx, faces)))
-    if vertices is not None:
-        labels = [cplx.vertices.face_labels(v)[0] for v in vertices]
-        print(_line("shedding vertices", " ".join(labels)))
-    return 0
-
-
 def _face_flag(cplx: SimplicialComplex, value: str) -> Face:
     labels = [tok for tok in re.split(r"[\s,]+", value.strip()) if tok]
     return cplx.vertices.face(labels)
 
 
-def _transform_report(cplx, name, operation: str, result, extra: dict | None = None):
-    report = {"name": name, "operation": operation}
-    report.update(extra or {})
-    base = _base_report(result, name)
-    del base["name"]
-    report.update(base)
-    return report
+# --- compute steps: (args, complex, facets as parsed) -> report fields ----
+
+def _searched(key: str, detail: Callable) -> Callable:
+    """Fields of a shelling-order search, with ``detail`` of the order found."""
+
+    def compute(args, cplx, parsed_order) -> dict:
+        found = shelling_order(cplx, _strategy(args, cplx, parsed_order))
+        if found is None:
+            return {"complex": cplx, "shelling_order": None, key: None}
+        return {
+            "complex": cplx,
+            "shelling_order": _label_lists(cplx, found.facets),
+            key: detail(cplx, found),
+        }
+
+    return compute
 
 
-def _cmd_link(args) -> int:
-    cplx, name, _ = _load(args)
+def _shedding(args, cplx, _) -> dict:
+    fields = {
+        "complex": cplx,
+        "k": args.k,
+        "shedding_faces": _label_lists(cplx, shedding_faces(cplx, args.k)),
+    }
+    if args.k == 0:
+        fields["shedding_vertices"] = _label_lists(cplx, shedding_vertices(cplx))
+    return fields
+
+
+def _at_face(operation: str, op: Callable, args, cplx) -> dict:
     face = _face_flag(cplx, args.face)
-    result = link(cplx, face)
-    if args.json:
-        _emit_json(
-            _transform_report(
-                cplx, name, "link", result,
-                extra={"face": list(cplx.vertices.face_labels(face))},
-            )
-        )
-    else:
-        print(serialize_complex(result), end="")
-    return 0
+    return {
+        "operation": operation,
+        "face": list(cplx.vertices.face_labels(face)),
+        "complex": op(cplx, face),
+    }
 
 
-def _cmd_delete(args) -> int:
-    cplx, name, _ = _load(args)
-    face = _face_flag(cplx, args.face)
-    result = face_deletion(cplx, face)
-    if args.json:
-        _emit_json(
-            _transform_report(
-                cplx, name, "delete", result,
-                extra={"face": list(cplx.vertices.face_labels(face))},
-            )
-        )
-    else:
-        print(serialize_complex(result), end="")
-    return 0
+def _quotients(cplx, found) -> list[list[str]]:
+    return [list(s) for s in linear_quotients_from_shelling(cplx, list(found.facets))]
 
 
-def _cmd_dual(args) -> int:
-    cplx, name, _ = _load(args)
-    result = alexander_dual(cplx)
-    if args.json:
-        _emit_json(_transform_report(cplx, name, "dual", result))
-    else:
-        print(serialize_complex(result), end="")
-    return 0
+# --- text renderers: (input complex, fields) -> output lines --------------
+
+def _info_text(cplx, fields) -> Iterable[str]:
+    yield f"name: {fields['name']}"
+    yield _line("vertices", " ".join(cplx.vertices.labels))
+    yield f"kind: {cplx.kind.value}"
+    yield f"dimension: {cplx.dimension()}"
+    yield f"pure: {_bool_str(is_pure(cplx))}"
+    yield _line("facets", _faces_text(cplx.facet_labels()))
+    yield _line("f-vector", " ".join(map(str, f_vector(cplx))))
+    yield _line("h-vector", " ".join(map(str, h_vector(cplx))))
 
 
-def _cmd_nonfaces(args) -> int:
-    cplx, name, _ = _load(args)
-    gens = minimal_nonfaces(cplx).gens
-    if args.json:
-        report = _base_report(cplx, name)
-        report["minimal_nonfaces"] = _label_lists(cplx, gens)
-        _emit_json(report)
-    else:
-        print(serialize_nonfaces(cplx, gens), end="")
-    return 0
+def _verdict_text(key: str) -> Callable:
+    return lambda cplx, fields: [_bool_str(fields[key])]
+
+
+def _order_text(key: str, label: str) -> Callable:
+    def text(cplx, fields) -> list[str]:
+        if fields["shelling_order"] is None:
+            return ["no shelling order"]
+        return [
+            _line("order", _faces_text(fields["shelling_order"])),
+            _line(label, _faces_text(fields[key])),
+        ]
+
+    return text
+
+
+def _shedding_text(cplx, fields) -> Iterable[str]:
+    yield _line("shedding faces", _faces_text(fields["shedding_faces"]))
+    if "shedding_vertices" in fields:
+        yield _line("shedding vertices", " ".join(v[0] for v in fields["shedding_vertices"]))
+
+
+def _complex_text(cplx, fields) -> list[str]:
+    return serialize_complex(fields["complex"]).splitlines()
+
+
+def _nonfaces_text(cplx, fields) -> list[str]:
+    gens = [cplx.vertices.face(f) for f in fields["minimal_nonfaces"]]
+    return serialize_nonfaces(cplx, gens).splitlines()
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    flags: tuple[str, ...]
+    compute: Callable[..., dict]
+    text: Callable[..., Iterable[str]]
+
+
+_COMMANDS = {
+    "info": _Command(
+        "print the complex and its invariants", (),
+        lambda args, cplx, _: {"complex": cplx},
+        _info_text,
+    ),
+    "shellable": _Command(
+        "exit 0 if shellable, 1 if not", (),
+        lambda args, cplx, _: {"complex": cplx, "shellable": is_shellable(cplx)},
+        _verdict_text("shellable"),
+    ),
+    "shelling-order": _Command(
+        "search for a shelling order", ("order",),
+        _searched("restrictions", lambda c, found: _label_lists(c, found.restrictions)),
+        _order_text("restrictions", "restrictions"),
+    ),
+    "vertex-decomposable": _Command(
+        "exit 0 if vertex-decomposable, 1 if not", (),
+        lambda args, cplx, _: {
+            "complex": cplx, "vertex_decomposable": is_vertex_decomposable(cplx),
+        },
+        _verdict_text("vertex_decomposable"),
+    ),
+    "k-decomposable": _Command(
+        "exit 0 if k-decomposable, 1 if not", ("k",),
+        lambda args, cplx, _: {
+            "complex": cplx, "k": args.k,
+            "k_decomposable": is_k_decomposable(cplx, args.k),
+        },
+        _verdict_text("k_decomposable"),
+    ),
+    "shedding": _Command(
+        "list shedding faces (and vertices when --k 0)", ("k",),
+        _shedding, _shedding_text,
+    ),
+    "dual": _Command(
+        "print the Alexander dual complex", (),
+        lambda args, cplx, _: {"operation": "dual", "complex": alexander_dual(cplx)},
+        _complex_text,
+    ),
+    "nonfaces": _Command(
+        "print the minimal nonfaces", (),
+        lambda args, cplx, _: {
+            "complex": cplx,
+            "minimal_nonfaces": _label_lists(cplx, minimal_nonfaces(cplx).gens),
+        },
+        _nonfaces_text,
+    ),
+    "link": _Command(
+        "print the link by --face", ("face",),
+        lambda args, cplx, _: _at_face("link", link, args, cplx),
+        _complex_text,
+    ),
+    "delete": _Command(
+        "print the face deletion by --face", ("face",),
+        lambda args, cplx, _: _at_face("delete", face_deletion, args, cplx),
+        _complex_text,
+    ),
+    "linear-quotients": _Command(
+        "linear quotient steps of a found shelling order", ("order",),
+        _searched("linear_quotients", _quotients),
+        _order_text("linear_quotients", "quotients"),
+    ),
+}
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -451,75 +277,59 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         ) from exc
 
 
+# flag group -> (flag, argparse keywords) pairs
+_FLAGS = {
+    "order": (
+        ("--random", dict(action="store_true", help="shuffle the facets before searching")),
+        ("--seed", dict(type=int, default=0, help="64-bit seed for --random (default 0)")),
+        ("--permutation", dict(
+            type=_csv_ints, default=None, metavar="CSV",
+            help="facet permutation; indices refer to the facets as parsed",
+        )),
+    ),
+    "k": (
+        ("--k", dict(type=int, default=0, help="maximum shedding-face dimension (default 0)")),
+    ),
+    "face": (
+        ("--face", dict(
+            default="", metavar="LABELS",
+            help="face given as space- or comma-separated labels",
+        )),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shellability",
         description="Shellability and decomposability of finite simplicial complexes.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name: str, help_: str, handler, *, order=False, k=False, face=False):
-        p = sub.add_parser(name, help=help_)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("source", help="complex file, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if order:
-            p.add_argument(
-                "--random", action="store_true",
-                help="shuffle the facets before searching",
-            )
-            p.add_argument(
-                "--seed", type=int, default=0,
-                help="64-bit seed for --random (default 0)",
-            )
-            p.add_argument(
-                "--permutation", type=_csv_ints, default=None, metavar="CSV",
-                help="facet permutation; indices refer to the facets as parsed",
-            )
-        if k:
-            p.add_argument(
-                "--k", type=int, default=0,
-                help="maximum shedding-face dimension (default 0)",
-            )
-        if face:
-            p.add_argument(
-                "--face", default="", metavar="LABELS",
-                help="face given as space- or comma-separated labels",
-            )
-        p.set_defaults(handler=handler)
-
-    add("info", "print the complex and its invariants", _cmd_info)
-    add("shellable", "exit 0 if shellable, 1 if not", _cmd_shellable)
-    add("shelling-order", "search for a shelling order", _cmd_shelling_order, order=True)
-    add(
-        "vertex-decomposable", "exit 0 if vertex-decomposable, 1 if not",
-        _cmd_vertex_decomposable,
-    )
-    add("k-decomposable", "exit 0 if k-decomposable, 1 if not", _cmd_k_decomposable, k=True)
-    add("shedding", "list shedding faces (and vertices when --k 0)", _cmd_shedding, k=True)
-    add("dual", "print the Alexander dual complex", _cmd_dual)
-    add("nonfaces", "print the minimal nonfaces", _cmd_nonfaces)
-    add("link", "print the link by --face", _cmd_link, face=True)
-    add("delete", "print the face deletion by --face", _cmd_delete, face=True)
-    add(
-        "linear-quotients", "linear quotient steps of a found shelling order",
-        _cmd_linear_quotients, order=True,
-    )
+        for group in command.flags:
+            for flag, options in _FLAGS[group]:
+                p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        cplx, parsed_order, name = _load(args)
+        fields = {"name": name, **command.compute(args, cplx, parsed_order)}
+        if args.json:
+            print(json.dumps(_report(fields), indent=2))
+        else:
+            for line in command.text(cplx, fields):
+                print(line)
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 1 if any(v is False or v is None for v in fields.values()) else 0

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import InvalidNonface, InvalidOrder, InvalidVertex, VoidComplex
@@ -242,15 +243,24 @@ def is_simplex(cplx: SimplicialComplex) -> bool:
 
 
 def all_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
-    """Nonempty faces of dimension at most ``k``, in canonical face order."""
+    """Nonempty faces of dimension at most ``k``, in canonical face order.
+
+    Lists the occupied vertices, then only the subsets of at most k + 1
+    vertices of each facet, never all subsets of a facet."""
     if cplx.kind is Kind.VOID:
         raise VoidComplex("the void complex has no faces")
     if k < 0:
         raise ValueError("k must be >= 0")
-    top = k + 1
-    return sorted(
-        (f for f in face_set(cplx) if 0 < f.bit_count() <= top), key=face_sort_key
-    )
+    occupied = 0
+    for facet in cplx.facets:
+        occupied |= facet
+    vertices = [1 << b for b in face_bits(occupied)]
+    larger: set[Face] = set()
+    for facet in cplx.facets:
+        bits = [1 << b for b in face_bits(facet)]
+        for size in range(2, min(k + 1, len(bits)) + 1):
+            larger.update(map(sum, combinations(bits, size)))
+    return vertices + sorted(larger, key=face_sort_key)
 
 
 def facet_permutation(cplx: SimplicialComplex, order: Iterable[Face]) -> list[Face]:

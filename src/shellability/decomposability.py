@@ -1,11 +1,13 @@
 """Shedding faces, vertex-decomposability, and k-decomposability.
 
 A face sheds when deleting it loses no facet: every facet of the deletion is
-already a facet of the complex.  For a vertex this is equivalent to "no facet
-of the link is a facet of the deletion".  Decomposability recursions accept a
-simplex outright and otherwise look for a shedding candidate whose link and
-deletion both decompose; verdicts are memoised per top-level call on facet
-lists compressed to their occupied vertices.
+already a facet of the complex.  A complex is k-decomposable when it is a
+simplex, or when some face of dimension at most k sheds and its deletion and
+its link are both k-decomposable; k = 0 is vertex-decomposability.  One
+recursion, :func:`_decomposable`, answers every k.  It tries the candidates
+in canonical face order, recursing into the deletion before the link, and
+memoises verdicts per top-level call on facet lists compressed to their
+occupied vertices.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ _Memo = dict[tuple[Face, ...], bool]
 
 
 def _loses_no_facet(cplx: SimplicialComplex, deleted: SimplicialComplex) -> bool:
-    facets = set(cplx.facets)
-    return all(f in facets for f in deleted.facets)
+    return set(deleted.facets) <= set(cplx.facets)
 
 
 def _sheds(cplx: SimplicialComplex, face: Face) -> bool:
@@ -52,30 +53,26 @@ def _key(cplx: SimplicialComplex) -> tuple[Face, ...]:
     return tuple(packed)
 
 
-def _vertex_candidates(cplx: SimplicialComplex) -> list[Face]:
-    occupied = 0
-    for facet in cplx.facets:
-        occupied |= facet
-    return [1 << b for b in face_bits(occupied)]
-
-
-def _vd(cplx: SimplicialComplex, memo: _Memo) -> bool:
+def _decomposable(cplx: SimplicialComplex, k: int, memo: _Memo) -> bool:
     if len(cplx.facets) == 1:
         return True
     key = _key(cplx)
     cached = memo.get(key)
-    if cached is not None:
-        return cached
-    verdict = False
-    for vertex in _vertex_candidates(cplx):
-        deleted = face_deletion(cplx, vertex)
-        if not _loses_no_facet(cplx, deleted):
-            continue
-        if _vd(link(cplx, vertex), memo) and _vd(deleted, memo):
-            verdict = True
-            break
-    memo[key] = verdict
-    return verdict
+    if cached is None:
+        cached = memo[key] = any(
+            _decomposes_at(cplx, face, k, memo) for face in all_faces(cplx, k)
+        )
+    return cached
+
+
+def _decomposes_at(cplx: SimplicialComplex, face: Face, k: int, memo: _Memo) -> bool:
+    # ``face`` sheds, and its deletion and link are both k-decomposable
+    deleted = face_deletion(cplx, face)
+    return (
+        _loses_no_facet(cplx, deleted)
+        and _decomposable(deleted, k, memo)
+        and _decomposable(link(cplx, face), k, memo)
+    )
 
 
 def is_vertex_decomposable(cplx: SimplicialComplex) -> bool:
@@ -83,7 +80,7 @@ def is_vertex_decomposable(cplx: SimplicialComplex) -> bool:
     deletion are both vertex-decomposable."""
     if cplx.kind is Kind.VOID:
         raise VoidComplex("the void complex is not decomposable")
-    return _vd(cplx, {})
+    return _decomposable(cplx, 0, {})
 
 
 def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
@@ -93,30 +90,7 @@ def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
         raise ValueError("expected a single-vertex face")
     if not cplx.is_face(vertex):
         raise NotAFace("not a vertex of the complex")
-    deleted = face_deletion(cplx, vertex)
-    if not _loses_no_facet(cplx, deleted):
-        return False
-    memo: _Memo = {}
-    return _vd(link(cplx, vertex), memo) and _vd(deleted, memo)
-
-
-def _kdec(cplx: SimplicialComplex, k: int, memo: _Memo) -> bool:
-    if len(cplx.facets) == 1:
-        return True
-    key = _key(cplx)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    verdict = False
-    for face in all_faces(cplx, k):
-        deleted = face_deletion(cplx, face)
-        if not _loses_no_facet(cplx, deleted):
-            continue
-        if _kdec(deleted, k, memo) and _kdec(link(cplx, face), k, memo):
-            verdict = True
-            break
-    memo[key] = verdict
-    return verdict
+    return _decomposes_at(cplx, vertex, 0, {})
 
 
 def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
@@ -126,7 +100,7 @@ def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
         raise VoidComplex("the void complex is not decomposable")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _kdec(cplx, k, {})
+    return _decomposable(cplx, k, {})
 
 
 def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
@@ -143,11 +117,4 @@ def shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
     if cplx.kind is Kind.VOID:
         raise VoidComplex("the void complex has no shedding vertices")
     memo: _Memo = {}
-    out: list[Face] = []
-    for vertex in _vertex_candidates(cplx):
-        deleted = face_deletion(cplx, vertex)
-        if not _loses_no_facet(cplx, deleted):
-            continue
-        if _vd(link(cplx, vertex), memo) and _vd(deleted, memo):
-            out.append(vertex)
-    return out
+    return [v for v in all_faces(cplx, 0) if _decomposes_at(cplx, v, 0, memo)]

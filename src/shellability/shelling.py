@@ -1,10 +1,12 @@
 """Shelling orders: verification, restriction faces, and a backtracking search.
 
-The single-step test has three equivalent faces here, each used where it reads
-most naturally: the unique-minimal-new-face test (via minimal hitting sets of
-the difference sets) verifies pure complexes, the intersection-dimension test
-verifies non-pure ones, and a singleton-difference check drives the search.
-Their agreement is part of the test suite.
+Every caller uses one step test, :func:`_step`.  Facet F extends a shelling
+when each difference F minus G with an earlier facet G contains a vertex x
+for which F minus x lies in an earlier facet, that is, a vertex that is itself
+a one-vertex difference.  The union of those vertices is the restriction face,
+the unique minimal face that F adds.  By Björner and Wachs (*Shellable nonpure
+complexes and posets I*, 1996) this form holds for pure and non-pure complexes
+alike.
 """
 
 from __future__ import annotations
@@ -107,45 +109,27 @@ def minimal_hitting_sets(sets: Iterable[int], limit: int | None = None) -> list[
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
-def _pure_step(prefix: Sequence[Face], facet: Face) -> bool:
-    # unique minimal new face <=> unique minimal hitting set of the differences
-    diffs = [facet & ~prev for prev in prefix]
-    return len(minimal_hitting_sets(diffs, limit=2)) == 1
-
-
-def _intersection_step(prefix: Sequence[Face], facet: Face) -> bool:
-    # all maximal intersections with earlier facets one vertex short of the
-    # facet; an empty intersection passes exactly when the facet is a vertex
-    inters = [facet & prev for prev in prefix]
-    maximal = [x for x in inters if not any(y != x and x & ~y == 0 for y in inters)]
-    want = facet.bit_count() - 1
-    return all(x.bit_count() == want for x in maximal)
-
-
-def _exchange_step(prefix: Sequence[Face], facet: Face) -> bool:
-    # every difference must contain a vertex realised as a singleton difference
-    singles = 0
-    diffs = []
+def _step(prefix: Sequence[Face], facet: Face) -> Face | None:
+    """Restriction face of ``facet`` placed after ``prefix``, or ``None`` when
+    that step does not shell."""
+    rest = 0
+    wide: list[Face] = []
     for prev in prefix:
         d = facet & ~prev
-        diffs.append(d)
         if d.bit_count() == 1:
-            singles |= d
-    return all(d & singles for d in diffs)
+            rest |= d
+        else:
+            wide.append(d)
+    for d in wide:
+        if not d & rest:
+            return None
+    return rest
 
 
 def is_shelling_order(cplx: SimplicialComplex, order: Sequence[Face]) -> bool:
-    """Whether ``order`` shells the complex.
-
-    Pure complexes use the unique-minimal-new-face test at each step; non-pure
-    complexes use the intersection-dimension test.  The two agree on pure
-    complexes.
-    """
+    """Whether ``order`` shells the complex, pure or not."""
     seq = facet_permutation(cplx, order)
-    if len(seq) <= 1:
-        return True
-    step = _pure_step if is_pure(cplx) else _intersection_step
-    return all(step(seq[:i], seq[i]) for i in range(1, len(seq)))
+    return all(_step(seq[:i], seq[i]) is not None for i in range(1, len(seq)))
 
 
 def restriction_faces(cplx: SimplicialComplex, order: Sequence[Face]) -> list[Face]:
@@ -154,13 +138,12 @@ def restriction_faces(cplx: SimplicialComplex, order: Sequence[Face]) -> list[Fa
     seq = facet_permutation(cplx, order)
     if not is_pure(cplx):
         raise NotPure("restriction faces are defined for pure complexes")
-    out: list[Face] = [0]
-    for i in range(1, len(seq)):
-        diffs = [seq[i] & ~seq[j] for j in range(i)]
-        hits = minimal_hitting_sets(diffs, limit=2)
-        if len(hits) != 1:
+    out: list[Face] = []
+    for i, facet in enumerate(seq):
+        rest = _step(seq[:i], facet)
+        if rest is None:
             raise InvalidOrder(f"not a shelling order at step {i + 1}")
-        out.append(hits[0])
+        out.append(rest)
     return out
 
 
@@ -209,15 +192,6 @@ def _arranged(facets: tuple[Face, ...], strategy: SearchStrategy) -> list[Face]:
     raise TypeError(f"unknown search strategy: {strategy!r}")
 
 
-def _restriction(prefix: Sequence[Face], facet: Face) -> Face:
-    rest = 0
-    for prev in prefix:
-        d = facet & ~prev
-        if d.bit_count() == 1:
-            rest |= d
-    return rest
-
-
 def shelling_order(
     cplx: SimplicialComplex, strategy: SearchStrategy = DEFAULT
 ) -> ShellingOrder | None:
@@ -233,34 +207,36 @@ def shelling_order(
         raise VoidComplex("the void complex cannot be shelled")
     arranged = _arranged(cplx.facets, strategy)
     n = len(arranged)
+    sizes = [f.bit_count() for f in arranged]
     used = [False] * n
+    placed: list[int] = []  # the depth-first path, as indices into arranged
     prefix: list[Face] = []
-
-    def extend() -> bool:
-        if len(prefix) == n:
-            return True
-        largest = max(arranged[i].bit_count() for i in range(n) if not used[i])
-        for i in range(n):
-            if used[i] or arranged[i].bit_count() != largest:
-                continue
-            if not _exchange_step(prefix, arranged[i]):
-                continue
-            used[i] = True
-            prefix.append(arranged[i])
-            if extend():
-                return True
-            prefix.pop()
+    rests: list[Face] = []
+    start = 0  # first index to try at the current depth
+    while len(placed) < n:
+        largest = max(sizes[i] for i in range(n) if not used[i])
+        for i in range(start, n):
+            if not used[i] and sizes[i] == largest:
+                rest = _step(prefix, arranged[i])
+                if rest is not None:
+                    break
+        else:
+            if not placed:
+                return None
+            i = placed.pop()
             used[i] = False
-        return False
-
-    if not extend():
-        return None
-    restrictions = tuple(_restriction(prefix[:i], prefix[i]) for i in range(n))
-    return ShellingOrder(tuple(prefix), restrictions)
+            prefix.pop()
+            rests.pop()
+            start = i + 1
+            continue
+        used[i] = True
+        placed.append(i)
+        prefix.append(arranged[i])
+        rests.append(rest)
+        start = 0
+    return ShellingOrder(tuple(prefix), tuple(rests))
 
 
 def is_shellable(cplx: SimplicialComplex) -> bool:
     """Whether some shelling order exists (searched with the default strategy)."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex cannot be shelled")
     return shelling_order(cplx, DEFAULT) is not None

@@ -62,6 +62,13 @@ def demo_complex() -> SimplicialComplex:
     return cx("abcdefg", DEMO_FACETS)
 
 
+def two_large_facets() -> SimplicialComplex:
+    """Two 40-vertex facets on v0..v40 sharing v1..v39: far too many
+    subsets per facet to list them all."""
+    vs = VertexSet(tuple(f"v{i}" for i in range(41)))
+    return from_facets(vs, [(1 << 40) - 1, ((1 << 41) - 1) ^ 1])
+
+
 # --- deterministic random generators -------------------------------------
 
 def random_complex(rng: random.Random, max_vertices=7, max_faces=8) -> SimplicialComplex:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +195,20 @@ class TestCommands:
         bad = tmp_path / "bad.cplx"
         bad.write_text("vertices: a a\nfacets: a\n")
         assert run(capsys, "info", str(bad))[0] == 2
+
+
+class TestImport:
+    def test_package_import_leaves_out_the_cli(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(DATA.parents[1] / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, shellability; "
+            "print([m for m in ('argparse', 'json', 'shellability.cli') if m in sys.modules])"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert run.returncode == 0 and run.stdout == "[]\n"
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from helpers import (
     label_sets,
     pure_complexes,
     random_pure_complex,
+    two_large_facets,
     vset,
     words,
 )
@@ -229,6 +230,19 @@ class TestAllFaces:
     def test_excludes_empty_face(self):
         c = from_facets(vset("ab"), [0])
         assert all_faces(c, 3) == []
+
+    @given(complexes())
+    def test_matches_brute_face_set(self, c):
+        faces = sorted(brute_face_set(c), key=lambda f: (f.bit_count(), f))
+        for k in range(3):
+            assert all_faces(c, k) == [f for f in faces if 0 < f.bit_count() <= k + 1]
+
+    def test_large_facets_list_only_small_faces(self):
+        c = two_large_facets()
+        edges = [
+            (1 << i) | (1 << j) for j in range(41) for i in range(j) if (i, j) != (0, 40)
+        ]
+        assert all_faces(c, 1) == [1 << i for i in range(41)] + sorted(edges)
 
     def test_errors(self, demo):
         with pytest.raises(VoidComplex):

@@ -9,6 +9,7 @@ from helpers import (
     fc,
     random_complex,
     random_pure_complex,
+    two_large_facets,
     vset,
     words,
 )
@@ -161,6 +162,13 @@ class TestSheddingLists:
     def test_faces_returned_pass_the_predicate(self, demo):
         for f in shedding_faces(demo, 1):
             assert is_shedding_face(demo, f)
+
+    def test_large_facets(self):
+        # only the two vertices outside the shared 39 shed; either one
+        # leaves a simplex as deletion and as link
+        c = two_large_facets()
+        assert shedding_faces(c, 0) == [1, 1 << 40]
+        assert is_k_decomposable(c, 1)
 
     def test_void_rejected(self):
         with pytest.raises(VoidComplex):

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from helpers import (
     brute_is_shelling_order,
     brute_minimal_hitting_sets,
     brute_restriction_faces,
+    brute_step_restriction,
     complexes,
     cx,
     faces_of,
@@ -27,6 +28,7 @@ from shellability import (
     NotPure,
     PermutationStrategy,
     RandomStrategy,
+    VertexSet,
     VoidComplex,
     from_facets,
     h_from_shelling,
@@ -36,11 +38,10 @@ from shellability import (
     is_shelling_order,
     minimal_hitting_sets,
     restriction_faces,
+    serialize_complex,
     shelling_order,
 )
-from shellability.shelling import _exchange_step as exchange_step
-from shellability.shelling import _intersection_step as intersection_step
-from shellability.shelling import _pure_step as pure_step
+from shellability.cli import main
 
 
 class TestMinimalHittingSets:
@@ -91,22 +92,26 @@ class TestIsShellingOrder:
             is_shelling_order(demo, list(demo.facets[:-1]))
 
     @settings(max_examples=80)
-    @given(pure_complexes(max_vertices=6, max_facets=5))
-    def test_pure_and_intersection_tests_agree(self, c):
+    @given(complexes(max_vertices=6, max_faces=6))
+    def test_steps_and_restrictions_match_brute_force(self, c):
+        # every prefix of a shuffled order, pure or not, against the
+        # subset-enumerating oracle; then every found order's restrictions
         rng = random.Random(1)
         seq = list(c.facets)
         rng.shuffle(seq)
-        for i in range(1, len(seq)):
-            a = pure_step(seq[:i], seq[i])
-            b = intersection_step(seq[:i], seq[i])
-            e = exchange_step(seq[:i], seq[i])
-            assert a == b == e
+        shells = True
+        for i, facet in enumerate(seq):
+            shells = shells and brute_step_restriction(seq[:i], facet) is not None
+            prefix = seq[: i + 1]
+            assert is_shelling_order(from_facets(c.vertices, prefix), prefix) == shells
+        order = shelling_order(c, RandomStrategy(rng.randrange(1 << 32)))
+        if order is not None:
+            expected = brute_restriction_faces(list(order.facets))
+            assert list(order.restrictions) == expected
 
     @settings(max_examples=60)
     @given(complexes(max_vertices=6, max_faces=5))
     def test_agrees_with_brute_force_on_pure(self, c):
-        if not is_pure(c):
-            return
         rng = random.Random(2)
         seq = list(c.facets)
         rng.shuffle(seq)
@@ -264,6 +269,19 @@ class TestShellingOrderSearch:
             sizes = [f.bit_count() for f in order.facets]
             assert sizes == sorted(sizes, reverse=True)
         assert seen > 0
+
+    def test_deep_search_keeps_to_the_heap(self, tmp_path, capsys):
+        # the 2-skeleton of the 20-vertex simplex: 1,140 facets, so the
+        # search goes 1,140 placements deep
+        vs = VertexSet(tuple(f"v{i}" for i in range(20)))
+        triples = [sum(1 << b for b in t) for t in combinations(range(20), 3)]
+        c = from_facets(vs, triples)
+        order = shelling_order(c)
+        assert order is not None and is_shelling_order(c, list(order.facets))
+        doc = tmp_path / "skeleton.cplx"
+        doc.write_text(serialize_complex(c))
+        assert main(["shellable", str(doc)]) == 0
+        assert capsys.readouterr().out == "true\n"
 
     def test_isolated_points_are_shellable(self):
         for k in range(1, 6):
