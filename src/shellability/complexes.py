@@ -245,8 +245,9 @@ def is_simplex(cplx: SimplicialComplex) -> bool:
 def all_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
     """Nonempty faces of dimension at most ``k``, in canonical face order.
 
-    Lists the occupied vertices, then only the subsets of at most k + 1
-    vertices of each facet, never all subsets of a facet."""
+    Lists the occupied vertices, then the subsets of two to k + 1 vertices
+    of each facet, so a facet F costs C(|F|, 2) + ... + C(|F|, k + 1) sets,
+    not 2^|F|."""
     if cplx.kind is Kind.VOID:
         raise VoidComplex("the void complex has no faces")
     if k < 0:

@@ -1,9 +1,10 @@
 """Shedding faces, vertex-decomposability, and k-decomposability.
 
 A face sheds when deleting it loses no facet: every facet of the deletion is
-already a facet of the complex.  A complex is k-decomposable when it is a
-simplex, or when some face of dimension at most k sheds and its deletion and
-its link are both k-decomposable; k = 0 is vertex-decomposability.  One
+already a facet of the complex.  For a vertex this is equivalent to "no facet
+of the link is a facet of the deletion".  A complex is k-decomposable when it
+is a simplex, or when some face of dimension at most k sheds and its deletion
+and its link are both k-decomposable; k = 0 is vertex-decomposability.  One
 recursion, :func:`_decomposable`, answers every k.  It tries the candidates
 in canonical face order, recursing into the deletion before the link, and
 memoises verdicts per top-level call on facet lists compressed to their

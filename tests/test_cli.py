@@ -213,8 +213,6 @@ class TestImport:
 
 class TestDeterminism:
     def test_seeded_search_is_byte_identical(self):
-        import os
-
         env = dict(os.environ)
         src = str(DATA.parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
