@@ -321,11 +321,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cplx, parsed_order, name = _load(args)
         fields = {"name": name, **command.compute(args, cplx, parsed_order)}
+        # every line is built before the first is printed, so an error
+        # leaves stdout empty
         if args.json:
-            print(json.dumps(_report(fields), indent=2))
+            lines = [json.dumps(_report(fields), indent=2)]
         else:
-            for line in command.text(cplx, fields):
-                print(line)
+            lines = list(command.text(cplx, fields))
+        for line in lines:
+            print(line)
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

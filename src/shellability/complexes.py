@@ -146,6 +146,14 @@ def _maximal(faces: Iterable[Face]) -> list[Face]:
     return [f for f in pool if not any(g != f and f & ~g == 0 for g in pool)]
 
 
+def _from_antichain(vertices: VertexSet, facets: Iterable[Face]) -> SimplicialComplex:
+    """Complex on pairwise incomparable faces: canonically sorted, no
+    maximalisation."""
+    ordered = tuple(sorted(facets, key=facet_sort_key))
+    kind = Kind.VOID if not ordered else Kind.IRRELEVANT if ordered == (0,) else Kind.PROPER
+    return SimplicialComplex(vertices, ordered, kind)
+
+
 def from_facets(vertices: VertexSet, raw: Iterable[Face]) -> SimplicialComplex:
     """Canonical complex generated by ``raw``: inclusion-maximal faces only,
     deduplicated and canonically sorted.  No faces at all gives the void
@@ -158,25 +166,78 @@ def from_facets(vertices: VertexSet, raw: Iterable[Face]) -> SimplicialComplex:
                 f"face uses vertex positions outside 0..{vertices.n - 1}"
             )
         cleaned.append(face)
-    facets = sorted(_maximal(cleaned), key=facet_sort_key)
-    if not facets:
-        kind = Kind.VOID
-    elif facets == [0]:
-        kind = Kind.IRRELEVANT
-    else:
-        kind = Kind.PROPER
-    return SimplicialComplex(vertices, tuple(facets), kind)
+    return _from_antichain(vertices, _maximal(cleaned))
+
+
+def minimal_hitting_sets(sets: Iterable[int], limit: int | None = None) -> list[int]:
+    """Inclusion-minimal transversals of a family of bitmask sets, in
+    canonical face order.
+
+    This is MMCS (Murakami and Uno, *Efficient algorithms for dualizing
+    large-scale hypergraphs*, 2014).  It branches on the unhit member with the
+    fewest candidate vertices.  A chosen vertex is kept only while some
+    member is hit by it alone (its critical member), so every transversal it
+    reaches is minimal.  The vertices of the branched member leave the
+    candidates and each comes back only after its own subtree, so each
+    minimal transversal is reached once.  Sets of members are bitmasks over
+    their positions in the family.  ``limit`` stops the search once that
+    many transversals are known.
+
+    The empty family has the single minimal transversal 0; a family holding
+    the empty set has none.
+    """
+    family = list(sets)
+    if any(s == 0 for s in family):
+        return []
+    holders: dict[int, int] = {}  # vertex -> the members that hold it
+    for i, member in enumerate(family):
+        for b in face_bits(member):
+            holders[b] = holders.get(b, 0) | 1 << i
+    found: list[int] = []
+
+    def mmcs(chosen: int, cand: int, unhit: int, crit: list[int]) -> None:
+        # crit holds, per chosen vertex, the members it alone hits
+        if limit is not None and len(found) >= limit:
+            return
+        if not unhit:
+            found.append(chosen)
+            return
+        # bit i of planes[p] is bit p of unhit member i's candidate count
+        planes: list[int] = []
+        for b in face_bits(cand):
+            carry = holders[b] & unhit
+            for p, plane in enumerate(planes):
+                planes[p] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+        fewest = unhit
+        for plane in reversed(planes):
+            if fewest & ~plane:
+                fewest &= ~plane
+        branch = cand & family[(fewest & -fewest).bit_length() - 1]
+        cand &= ~branch
+        for b in face_bits(branch):
+            hit = holders[b]
+            kept = [c & ~hit for c in crit]
+            if all(kept):
+                mmcs(chosen | 1 << b, cand, unhit & ~hit, kept + [unhit & hit])
+            cand |= 1 << b
+
+    mmcs(0, sum(1 << b for b in holders), (1 << len(family)) - 1, [])
+    return sorted(found, key=face_sort_key)
 
 
 def from_nonfaces(vertices: VertexSet, nonfaces: Iterable[Face]) -> SimplicialComplex:
     """Complex whose faces are exactly the subsets containing no listed nonface.
 
-    Starts from the full simplex; each nonface N replaces every facet F that
-    contains it with the faces F minus one vertex of N, re-maximalising after
-    each step.
+    A set is a face when its complement meets every nonface, so the facets
+    are the complements of the minimal transversals of the nonfaces
+    (:func:`minimal_hitting_sets`).  They are pairwise incomparable already
+    and need no maximalisation.  No nonfaces give the full simplex.
     """
     full = vertices.full_face
-    facets: set[Face] = {full}
+    checked: list[Face] = []
     for nonface in nonfaces:
         if nonface == 0:
             raise InvalidNonface(
@@ -186,14 +247,8 @@ def from_nonfaces(vertices: VertexSet, nonfaces: Iterable[Face]) -> SimplicialCo
             raise InvalidVertex(
                 f"nonface uses vertex positions outside 0..{vertices.n - 1}"
             )
-        step: set[Face] = set()
-        for facet in facets:
-            if nonface & ~facet == 0:
-                step.update(facet & ~(1 << b) for b in face_bits(nonface))
-            else:
-                step.add(facet)
-        facets = set(_maximal(step))
-    return from_facets(vertices, facets)
+        checked.append(nonface)
+    return _from_antichain(vertices, [full ^ t for t in minimal_hitting_sets(checked)])
 
 
 def face_set(cplx: SimplicialComplex) -> set[Face]:

@@ -7,7 +7,6 @@ its support face, so colon ideals reduce to support differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import (
     Face,
@@ -15,9 +14,11 @@ from .complexes import (
     SimplicialComplex,
     VertexSet,
     facet_permutation,
-    from_facets,
+    from_nonfaces,
+    minimal_hitting_sets,
 )
 from .errors import InvalidComplex, VoidComplex, VoidDual
+from .shelling import _step
 
 
 @dataclass(frozen=True)
@@ -34,36 +35,26 @@ class MonomialSet:
 
 def minimal_nonfaces(cplx: SimplicialComplex) -> MonomialSet:
     """Inclusion-minimal vertex subsets that are not faces, in canonical face
-    order.  Works level by level: a k-set is a minimal nonface exactly when it
-    lies in no facet while all of its (k-1)-subsets are faces."""
+    order.  A set is a nonface exactly when it meets the complement of every
+    facet, so these are the minimal transversals of the facet complements
+    (:func:`~shellability.complexes.minimal_hitting_sets`)."""
     if cplx.kind is Kind.VOID:
         raise VoidComplex("the void complex has no nonface ideal")
-    n = cplx.vertices.n
-    out: list[Face] = []
-    for k in range(1, n + 1):
-        level: list[Face] = []
-        for combo in combinations(range(n), k):
-            mask = 0
-            for b in combo:
-                mask |= 1 << b
-            if cplx.is_face(mask):
-                continue
-            if all(cplx.is_face(mask & ~(1 << b)) for b in combo):
-                level.append(mask)
-        level.sort()
-        out.extend(level)
-    return MonomialSet(cplx.vertices, tuple(out))
+    full = cplx.vertices.full_face
+    gens = minimal_hitting_sets(full ^ f for f in cplx.facets)
+    return MonomialSet(cplx.vertices, tuple(gens))
 
 
 def alexander_dual(cplx: SimplicialComplex) -> SimplicialComplex:
-    """Complex whose facets are the complements of the minimal nonfaces."""
+    """Complex whose facets are the complements of the minimal nonfaces.  Its
+    minimal nonfaces are the complements of the facets, so it is built from
+    those by :func:`~shellability.complexes.from_nonfaces`."""
     if cplx.kind is Kind.VOID:
         raise VoidComplex("the void complex has no dual")
     full = cplx.vertices.full_face
     if cplx.facets == (full,):
         raise VoidDual("the full simplex has a void dual")
-    gens = minimal_nonfaces(cplx).gens
-    return from_facets(cplx.vertices, [full ^ g for g in gens])
+    return from_nonfaces(cplx.vertices, [full ^ f for f in cplx.facets])
 
 
 def dual_ideal_generators(cplx: SimplicialComplex) -> MonomialSet:
@@ -87,15 +78,14 @@ def _check_generators(gens: tuple[Face, ...]) -> None:
 def has_linear_quotients(mset: MonomialSet) -> bool:
     """True when every successive colon ideal is generated by single vertices:
     for each generator, the minimal support differences against all earlier
-    generators must all be singletons."""
+    generators must all be singletons.
+
+    With C the complement of each generator, g_j minus g_i equals C(g_i)
+    minus C(g_j), so this is the shelling step test on the complements."""
     gens = mset.gens
     _check_generators(gens)
-    for i in range(1, len(gens)):
-        diffs = [gens[j] & ~gens[i] for j in range(i)]
-        minimal = [d for d in diffs if not any(e != d and e & ~d == 0 for e in diffs)]
-        if any(d.bit_count() != 1 for d in minimal):
-            return False
-    return True
+    comps = [~g for g in gens]
+    return all(_step(comps[:i], comps[i]) is not None for i in range(1, len(comps)))
 
 
 def linear_quotients_from_shelling(
@@ -103,23 +93,29 @@ def linear_quotients_from_shelling(
 ) -> list[tuple[str, ...]]:
     """Per-step quotient vertex sets induced by a facet order.
 
-    Step i scans pairs (j, k) with j, k < i, in that nested order, and collects
-    every vertex x with order[i] minus order[k] equal to {x} and contained in
-    order[i] minus order[j].  First occurrences are kept, so each step is a set
-    of labels reported in discovery order.
+    Step i lists the vertices x for which order[i] minus some earlier facet
+    is exactly {x}.  They come ordered by the first earlier facet order[j]
+    with x in order[i] minus order[j], then by the first earlier facet
+    order[k] with order[i] minus order[k] equal to {x}.  Each step costs
+    O(i): one pass records the one-vertex differences, a second walks j
+    upward until every one is placed.
     """
     seq = facet_permutation(cplx, order)
     labels = cplx.vertices.labels
     steps: list[tuple[str, ...]] = []
     for i in range(1, len(seq)):
-        hits: list[int] = []
-        for j in range(i):
-            diff_j = seq[i] & ~seq[j]
-            for k in range(i):
-                diff_k = seq[i] & ~seq[k]
-                if diff_k.bit_count() == 1 and diff_k & ~diff_j == 0:
-                    x = diff_k.bit_length() - 1
-                    if x not in hits:
-                        hits.append(x)
-        steps.append(tuple(labels[x] for x in hits))
+        facet = seq[i]
+        diffs = (facet & ~prev for prev in seq[:i])
+        # one-vertex differences, deduplicated, in the order of their first k
+        singles = list(dict.fromkeys(d for d in diffs if d.bit_count() == 1))
+        rest = sum(singles)  # distinct single bits, so the sum is their union
+        hits: list[Face] = []
+        for prev in seq[:i]:
+            if not rest:
+                break
+            new = rest & ~prev
+            if new:
+                hits.extend(d for d in singles if d & new)
+                rest &= prev
+        steps.append(tuple(labels[d.bit_length() - 1] for d in hits))
     return steps

@@ -12,8 +12,10 @@ alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
+# minimal_hitting_sets moved to complexes, whose from_nonfaces needs it and
+# which cannot import this module; it is still importable from here
 from .complexes import (
     Face,
     HVector,
@@ -21,6 +23,7 @@ from .complexes import (
     SimplicialComplex,
     facet_permutation,
     is_pure,
+    minimal_hitting_sets,
 )
 from .errors import InvalidOrder, InvalidPermutation, NotPure, VoidComplex
 
@@ -59,54 +62,6 @@ class PermutationStrategy:
 
 SearchStrategy = DefaultStrategy | RandomStrategy | PermutationStrategy
 DEFAULT = DefaultStrategy()
-
-
-def minimal_hitting_sets(sets: Iterable[int], limit: int | None = None) -> list[int]:
-    """Inclusion-minimal transversals of a family of bitmask sets.
-
-    Branches on the first unhit set; a completed candidate is kept only if it
-    passes the irredundancy certificate (every chosen vertex is the sole hit
-    of some member).  ``limit`` stops the search once that many transversals
-    are known, which is enough to decide uniqueness cheaply.
-
-    The empty family has the single minimal transversal 0; a family containing
-    the empty set has none.
-    """
-    family = list(sets)
-    if any(s == 0 for s in family):
-        return []
-    found: set[int] = set()
-    visited: set[int] = set()
-
-    def certify(chosen: int) -> bool:
-        rest = chosen
-        while rest:
-            low = rest & -rest
-            if not any(member & chosen == low for member in family):
-                return False
-            rest ^= low
-        return True
-
-    def walk(chosen: int) -> None:
-        if limit is not None and len(found) >= limit:
-            return
-        if chosen in visited:
-            return
-        visited.add(chosen)
-        unhit = next((m for m in family if m & chosen == 0), None)
-        if unhit is None:
-            if certify(chosen):
-                found.add(chosen)
-            return
-        while unhit:
-            low = unhit & -unhit
-            walk(chosen | low)
-            if limit is not None and len(found) >= limit:
-                return
-            unhit ^= low
-
-    walk(0)
-    return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
 def _step(prefix: Sequence[Face], facet: Face) -> Face | None:

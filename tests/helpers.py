@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's own algorithms: faces are found
 by filtering all 2^n subsets, shelling steps by enumerating the subsets of
-each facet, and transversals by scanning the whole power set of the universe.
+each facet, transversals by scanning the whole power set of the universe,
+and linear quotients by comparing every pair of earlier generators or facets.
 """
 
 from __future__ import annotations
@@ -183,3 +184,33 @@ def brute_minimal_hitting_sets(family) -> set[int]:
         for t in hitting
         if not any(u != t and u & ~t == 0 for u in hitting)
     }
+
+
+def brute_has_linear_quotients(gens) -> bool:
+    """Every minimal difference g_j minus g_i (j < i) is a single vertex."""
+    for i in range(1, len(gens)):
+        diffs = [gens[j] & ~gens[i] for j in range(i)]
+        minimal = [d for d in diffs if not any(e != d and e & ~d == 0 for e in diffs)]
+        if any(d.bit_count() != 1 for d in minimal):
+            return False
+    return True
+
+
+def brute_linear_quotients(cplx: SimplicialComplex, order) -> list[tuple[str, ...]]:
+    """Quotient labels of each step by the pair scan: for j, then k, before
+    i, every x with order[i] minus order[k] = {x} inside order[i] minus
+    order[j], first occurrences only."""
+    labels = cplx.vertices.labels
+    steps = []
+    for i in range(1, len(order)):
+        hits: list[int] = []
+        for j in range(i):
+            diff_j = order[i] & ~order[j]
+            for k in range(i):
+                diff_k = order[i] & ~order[k]
+                if diff_k.bit_count() == 1 and diff_k & ~diff_j == 0:
+                    x = diff_k.bit_length() - 1
+                    if x not in hits:
+                        hits.append(x)
+        steps.append(tuple(labels[x] for x in hits))
+    return steps

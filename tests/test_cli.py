@@ -182,6 +182,14 @@ class TestCommands:
         )
         assert code == 3
 
+    def test_info_on_void_complex_prints_nothing(self, capsys, tmp_path):
+        void = tmp_path / "void.cplx"
+        void.write_text("vertices: a b\nfacets:\n")
+        assert main(["info", str(void)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the void complex has no dimension\n"
+
     def test_usage_error_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["unknown-command", DEMO])

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     O1,
@@ -8,12 +11,15 @@ from helpers import (
     Q1,
     Q2,
     Q3,
+    brute_has_linear_quotients,
+    brute_linear_quotients,
     brute_minimal_nonfaces,
     complexes,
     cx,
     faces_of,
     label_sets,
     pure_complexes,
+    random_pure_complex,
     vset,
     words,
 )
@@ -22,11 +28,14 @@ from shellability import (
     InvalidOrder,
     Kind,
     MonomialSet,
+    VertexSet,
     VoidComplex,
     VoidDual,
     alexander_dual,
     dual_ideal_generators,
+    face_bits,
     from_facets,
+    from_nonfaces,
     has_linear_quotients,
     linear_quotients_from_shelling,
     minimal_nonfaces,
@@ -56,6 +65,49 @@ class TestMinimalNonfaces:
     @given(complexes(max_vertices=6))
     def test_matches_brute_force(self, c):
         assert set(minimal_nonfaces(c).gens) == brute_minimal_nonfaces(c)
+
+
+def _canonical(faces) -> list[int]:
+    return sorted(faces, key=lambda f: (f.bit_count(), f))
+
+
+class TestSixtyFourVertices:
+    """Inputs at the advertised vertex limit, with few facets or nonfaces."""
+
+    VS = VertexSet(tuple(f"v{i}" for i in range(64)))
+
+    def random_faces(self, seed, count, size):
+        rng = random.Random(seed)
+        return [sum(1 << b for b in rng.sample(range(64), size)) for _ in range(count)]
+
+    def test_two_large_facets(self):
+        low, high = (1 << 40) - 1, ((1 << 64) - 1) ^ ((1 << 24) - 1)
+        c = from_facets(self.VS, [low, high])
+        gens = minimal_nonfaces(c).gens
+        # one vertex outside each facet; the two complements are disjoint
+        assert len(gens) == 576
+        assert set(gens) == {
+            1 << x | 1 << y for x in range(40, 64) for y in range(24)
+        }
+        assert from_nonfaces(self.VS, gens) == c
+        assert alexander_dual(alexander_dual(c)) == c
+
+    def test_five_random_large_facets(self):
+        c = from_facets(self.VS, self.random_faces(1, 5, 50))
+        gens = minimal_nonfaces(c).gens
+        assert len(gens) == 6010
+        assert list(gens) == _canonical(set(gens))
+        for g in gens:
+            assert not c.is_face(g)
+            assert all(c.is_face(g & ~(1 << b)) for b in face_bits(g))
+        assert from_nonfaces(self.VS, gens) == c
+        assert alexander_dual(alexander_dual(c)) == c
+
+    def test_few_nonfaces(self):
+        nonfaces = self.random_faces(4, 12, 3)
+        c = from_nonfaces(self.VS, nonfaces)
+        assert len(c.facets) == 9225
+        assert list(minimal_nonfaces(c).gens) == _canonical(nonfaces)
 
 
 class TestAlexanderDual:
@@ -133,6 +185,14 @@ class TestHasLinearQuotients:
         with pytest.raises(ValueError):
             has_linear_quotients(MonomialSet(vs, (vs.face("ab"), vs.face("a"))))
 
+    @given(complexes(max_vertices=7, max_faces=8), st.randoms(use_true_random=False))
+    def test_matches_minimal_difference_oracle(self, c, rnd):
+        # the facets of a random complex are pairwise incomparable
+        gens = list(c.facets)
+        rnd.shuffle(gens)
+        mset = MonomialSet(c.vertices, tuple(gens))
+        assert has_linear_quotients(mset) == brute_has_linear_quotients(gens)
+
 
 class TestLinearQuotientsFromShelling:
     def test_session_orders_reproduce(self, demo):
@@ -157,3 +217,21 @@ class TestLinearQuotientsFromShelling:
         assert has_linear_quotients(induced)
         steps = linear_quotients_from_shelling(c, list(order.facets))
         assert all(step for step in steps)
+
+    @given(complexes(max_vertices=7, max_faces=8), st.randoms(use_true_random=False))
+    def test_matches_pair_scan_oracle(self, c, rnd):
+        # any facet order, a shelling or not; the label order must match too
+        order = list(c.facets)
+        rnd.shuffle(order)
+        assert linear_quotients_from_shelling(c, order) == brute_linear_quotients(c, order)
+
+    def test_label_order_on_seeded_pure_orders(self):
+        # pure complexes often put several quotient vertices in one step
+        rng = random.Random(2718)
+        for _ in range(300):
+            c = random_pure_complex(rng, max_vertices=7, max_facets=10)
+            order = list(c.facets)
+            rng.shuffle(order)
+            assert linear_quotients_from_shelling(c, order) == brute_linear_quotients(
+                c, order
+            )

@@ -66,12 +66,18 @@ class TestMinimalHittingSets:
 
     def test_against_brute_force(self):
         rng = random.Random(4242)
-        for _ in range(200):
-            size = rng.randint(1, 5)
-            family = [rng.randint(1, 0b111111) for _ in range(size)]
-            assert set(minimal_hitting_sets(family)) == brute_minimal_hitting_sets(
-                family
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            family = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 7))]
+            expected = sorted(
+                brute_minimal_hitting_sets(family), key=lambda t: (t.bit_count(), t)
             )
+            assert minimal_hitting_sets(family) == expected
+            for limit in range(1, len(expected) + 2):
+                some = minimal_hitting_sets(family, limit=limit)
+                assert len(some) == min(limit, len(expected))
+                assert len(set(some)) == len(some)
+                assert set(some) <= set(expected)
 
 
 class TestIsShellingOrder:
