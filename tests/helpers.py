@@ -3,7 +3,9 @@
 The oracles deliberately avoid the library's own algorithms: faces are found
 by filtering all 2^n subsets, shelling steps by enumerating the subsets of
 each facet, transversals by scanning the whole power set of the universe,
-and linear quotients by comparing every pair of earlier generators or facets.
+linear quotients by comparing every pair of earlier generators or facets,
+and decomposability by recursing on brute face sets (deletion and link by
+filtering, no memo).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from shellability import (
     SimplicialComplex,
     VertexSet,
     from_facets,
-    submasks,
 )
 
 LETTERS = "abcdefghij"
@@ -112,6 +113,16 @@ def pure_complexes(draw, max_vertices=6, max_facets=6):
 
 # --- brute-force oracles ----------------------------------------------------
 
+def _subsets(mask: int) -> set[int]:
+    bits = [1 << b for b in range(mask.bit_length()) if mask >> b & 1]
+    return {sum(c) for r in range(len(bits) + 1) for c in combinations(bits, r)}
+
+
+def brute_maximal(faces) -> set[Face]:
+    """Inclusion-maximal members of a set of faces."""
+    return {s for s in faces if not any(t != s and s & ~t == 0 for t in faces)}
+
+
 def brute_face_set(cplx: SimplicialComplex) -> set[Face]:
     """All faces by filtering every subset of the vertex set."""
     n = cplx.vertices.n
@@ -140,16 +151,15 @@ def brute_from_nonfaces(vs: VertexSet, nonfaces) -> SimplicialComplex:
         for s in range(1 << n)
         if not any(nf & ~s == 0 for nf in nonfaces)
     ]
-    maximal = [s for s in faces if not any(t != s and s & ~t == 0 for t in faces)]
-    return from_facets(vs, maximal)
+    return from_facets(vs, brute_maximal(faces))
 
 
 def brute_step_restriction(prefix, facet) -> Face | None:
     """Unique minimal new face of a shelling step, or None if non-unique."""
     covered: set[Face] = set()
     for prev in prefix:
-        covered.update(submasks(prev))
-    new = [s for s in submasks(facet) if s not in covered]
+        covered.update(_subsets(prev))
+    new = [s for s in _subsets(facet) if s not in covered]
     minimal = [s for s in new if not any(t != s and t & ~s == 0 for t in new)]
     return minimal[0] if len(minimal) == 1 else None
 
@@ -176,7 +186,7 @@ def brute_minimal_hitting_sets(family) -> set[int]:
         universe |= member
     hitting = [
         t
-        for t in submasks(universe)
+        for t in _subsets(universe)
         if all(member & t for member in family)
     ]
     return {
@@ -214,3 +224,51 @@ def brute_linear_quotients(cplx: SimplicialComplex, order) -> list[tuple[str, ..
                         hits.append(x)
         steps.append(tuple(labels[x] for x in hits))
     return steps
+
+
+def brute_sheds(faces: set[Face], sigma: Face) -> bool:
+    """Every maximal face of the deletion (the faces not containing
+    ``sigma``) is a maximal face of the complex."""
+    deletion = {t for t in faces if sigma & ~t}
+    return brute_maximal(deletion) <= brute_maximal(faces)
+
+
+def _brute_decomposes_at(faces: set[Face], sigma: Face, k: int) -> bool:
+    link = {t for t in faces if t & sigma == 0 and t | sigma in faces}
+    return (
+        brute_sheds(faces, sigma)
+        and _brute_decomposable({t for t in faces if sigma & ~t}, k)
+        and _brute_decomposable(link, k)
+    )
+
+
+def _brute_decomposable(faces: set[Face], k: int) -> bool:
+    if len(brute_maximal(faces)) == 1:
+        return True
+    return any(
+        _brute_decomposes_at(faces, sigma, k)
+        for sigma in faces
+        if 0 < sigma.bit_count() <= k + 1
+    )
+
+
+def brute_is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
+    """k-decomposability by recursion on face sets: a simplex, or a face of
+    at most k + 1 vertices that sheds and whose deletion and link are both
+    k-decomposable."""
+    return _brute_decomposable(brute_face_set(cplx), k)
+
+
+def brute_shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
+    faces = brute_face_set(cplx)
+    return sorted(
+        (s for s in faces if 0 < s.bit_count() <= k + 1 and brute_sheds(faces, s)),
+        key=lambda s: (s.bit_count(), s),
+    )
+
+
+def brute_shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
+    faces = brute_face_set(cplx)
+    return sorted(
+        s for s in faces if s.bit_count() == 1 and _brute_decomposes_at(faces, s, 0)
+    )

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    brute_is_k_decomposable,
+    brute_shedding_faces,
+    brute_shedding_vertices,
     complexes,
     cx,
     fc,
@@ -175,6 +178,16 @@ class TestSheddingLists:
             shedding_faces(from_facets(vset("ab"), []), 0)
         with pytest.raises(VoidComplex):
             shedding_vertices(from_facets(vset("ab"), []))
+
+
+class TestAgainstBruteForce:
+    @settings(deadline=None)
+    @given(complexes(max_vertices=6))
+    def test_verdicts_and_shedding_lists(self, c):
+        for k in range(c.dimension() + 2):
+            assert is_k_decomposable(c, k) == brute_is_k_decomposable(c, k)
+            assert shedding_faces(c, k) == brute_shedding_faces(c, k)
+        assert shedding_vertices(c) == brute_shedding_vertices(c)
 
 
 class TestStructuralInvariants:

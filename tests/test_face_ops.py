@@ -5,6 +5,7 @@ from hypothesis import given
 
 from helpers import (
     brute_face_set,
+    brute_maximal,
     complexes,
     cx,
     fc,
@@ -22,6 +23,11 @@ from shellability import (
     link,
     relabelled,
 )
+
+
+def canonical_facets(faces) -> tuple[int, ...]:
+    """Inclusion-maximal faces, cardinality descending, then bit pattern."""
+    return tuple(sorted(brute_maximal(faces), key=lambda f: (-f.bit_count(), f)))
 
 
 class TestLink:
@@ -55,11 +61,12 @@ class TestLink:
             return
         rng = random.Random(5)
         for sigma in rng.sample(faces, min(4, len(faces))):
-            lk = brute_face_set(link(c, sigma))
+            lk = link(c, sigma)
             expected = {
                 t for t in brute_face_set(c) if t & sigma == 0 and c.is_face(t | sigma)
             }
-            assert lk == expected
+            assert brute_face_set(lk) == expected
+            assert lk.facets == canonical_facets(expected)
 
 
 class TestFaceDeletion:
@@ -96,9 +103,10 @@ class TestFaceDeletion:
             return
         rng = random.Random(7)
         for sigma in rng.sample(faces, min(4, len(faces))):
-            got = brute_face_set(face_deletion(c, sigma))
+            got = face_deletion(c, sigma)
             expected = {t for t in brute_face_set(c) if sigma & ~t != 0}
-            assert got == expected
+            assert brute_face_set(got) == expected
+            assert got.facets == canonical_facets(expected)
 
 
 class TestDecompositionIdentity:
