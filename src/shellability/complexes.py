@@ -123,7 +123,12 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Canonical facet list; build via :func:`from_facets` or :func:`from_nonfaces`."""
+    """Canonical facet list; build via :func:`from_facets` or :func:`from_nonfaces`.
+
+    Only faces from outside the program go through :func:`from_facets`,
+    which validates them and keeps the inclusion-maximal ones.  A complex
+    derived from another one's facets (nonface duals, links, deletions,
+    relabellings) is an antichain by construction and is only sorted."""
 
     vertices: VertexSet
     facets: tuple[Face, ...]
@@ -338,4 +343,4 @@ def relabelled(
     remapped = [
         sum(1 << perm[b] for b in face_bits(facet)) for facet in cplx.facets
     ]
-    return from_facets(cplx.vertices, remapped)
+    return _from_antichain(cplx.vertices, remapped)

@@ -14,7 +14,7 @@ occupied vertices.
 from __future__ import annotations
 
 from .complexes import Face, Kind, SimplicialComplex, all_faces, face_bits
-from .errors import EmptyFace, NotAFace, VoidComplex
+from .errors import NotAFace, VoidComplex
 from .face_ops import face_deletion, link
 
 _Memo = dict[tuple[Face, ...], bool]
@@ -24,17 +24,10 @@ def _loses_no_facet(cplx: SimplicialComplex, deleted: SimplicialComplex) -> bool
     return set(deleted.facets) <= set(cplx.facets)
 
 
-def _sheds(cplx: SimplicialComplex, face: Face) -> bool:
-    return _loses_no_facet(cplx, face_deletion(cplx, face))
-
-
 def is_shedding_face(cplx: SimplicialComplex, face: Face) -> bool:
-    """Whether deleting ``face`` loses no facet of the complex."""
-    if face == 0:
-        raise EmptyFace("the empty face cannot shed")
-    if not cplx.is_face(face):
-        raise NotAFace("shedding candidates must be faces of the complex")
-    return _sheds(cplx, face)
+    """Whether deleting ``face`` loses no facet of the complex.  Raises
+    :class:`EmptyFace` or :class:`NotAFace` as :func:`face_deletion` does."""
+    return _loses_no_facet(cplx, face_deletion(cplx, face))
 
 
 def _key(cplx: SimplicialComplex) -> tuple[Face, ...]:
@@ -110,7 +103,7 @@ def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
         raise VoidComplex("the void complex has no shedding faces")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return [f for f in all_faces(cplx, k) if _sheds(cplx, f)]
+    return [f for f in all_faces(cplx, k) if is_shedding_face(cplx, f)]
 
 
 def shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
