@@ -2,7 +2,8 @@
 
 Each case runs ``main(argv)`` in-process on one of the files in
 ``tests/data`` and compares what it printed, byte for byte, with the
-transcript stored under ``tests/data/golden``.  To record the transcripts
+transcript stored under ``tests/data/golden``.  The stdout of
+``scripts/walkthrough.py`` is pinned the same way.  To record the transcripts
 again (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -11,6 +12,7 @@ again (only when an output change is intended):
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -21,6 +23,7 @@ import pytest
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 INDEX = GOLDEN / "cases.json"
+WALKTHROUGH = Path(__file__).parents[1] / "scripts" / "walkthrough.py"
 
 FILES = ("demo", "demo_nonfaces", "two_edges")
 COMMANDS = (
@@ -65,6 +68,11 @@ def capture(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def walkthrough() -> bytes:
+    run = subprocess.run([sys.executable, str(WALKTHROUGH)], capture_output=True, check=True)
+    return run.stdout
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     index = {}
@@ -73,6 +81,7 @@ def record() -> None:
         (GOLDEN / f"{name}.out").write_bytes(out.encode())
         index[name] = {"argv": argv, "exit": code, "stderr": err}
     INDEX.write_text(json.dumps(index, indent=1) + "\n")
+    (GOLDEN / "walkthrough.out").write_bytes(walkthrough())
 
 
 def test_every_case_is_recorded():
@@ -88,6 +97,10 @@ def test_transcript(name, argv):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
     assert err == expected["stderr"]
     assert code == expected["exit"]
+
+
+def test_walkthrough():
+    assert walkthrough() == (GOLDEN / "walkthrough.out").read_bytes()
 
 
 if __name__ == "__main__":

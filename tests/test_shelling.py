@@ -42,6 +42,7 @@ from shellability import (
     shelling_order,
 )
 from shellability.cli import main
+from shellability.shelling import _shuffled
 
 
 class TestMinimalHittingSets:
@@ -215,6 +216,18 @@ class TestShellingOrderSearch:
         first = shelling_order(demo, RandomStrategy(42))
         second = shelling_order(demo, RandomStrategy(42))
         assert first == second
+
+    def test_seeded_shuffle_is_pinned(self, demo):
+        # splitmix64 gives the same shuffle on every platform and Python
+        # version; the seed is taken mod 2**64, so 2**64 + 42 acts as 42
+        cases = {
+            0: [2, 5, 0, 3, 4, 6, 1, 7],
+            42: [3, 1, 6, 2, 4, 0, 7, 5],
+            -1: [7, 3, 5, 4, 2, 6, 1, 0],
+            2**64 + 42: [3, 1, 6, 2, 4, 0, 7, 5],
+        }
+        for seed, indices in cases.items():
+            assert _shuffled(demo.facets, seed) == [demo.facets[i] for i in indices]
 
     def test_invalid_permutations(self, demo):
         for perm in ((0, 0, 1, 2, 3, 4, 5, 6), (0, 1), (1, 2, 3, 4, 5, 6, 7, 8)):
