@@ -14,8 +14,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from shellability import (
-    PermutationStrategy,
-    RandomStrategy,
     VertexSet,
     f_vector,
     from_nonfaces,
@@ -28,6 +26,7 @@ from shellability import (
     minimal_nonfaces,
     shedding_vertices,
     shelling_order,
+    shuffled_facets,
 )
 
 NONFACES = ("ab", "ac", "bc", "cd", "de", "df", "fg")
@@ -59,9 +58,10 @@ def main() -> int:
     print("default search:")
     print(quotient_chain(cplx, shelling_order(cplx)))
     print("seeded shuffle (seed 42):")
-    print(quotient_chain(cplx, shelling_order(cplx, RandomStrategy(42))))
+    print(quotient_chain(cplx, shelling_order(cplx, shuffled_facets(cplx, 42))))
     print("fixed permutation (4,5,6,7,3,2,1,0):")
-    print(quotient_chain(cplx, shelling_order(cplx, PermutationStrategy((4, 5, 6, 7, 3, 2, 1, 0)))))
+    fixed = [cplx.facets[i] for i in (4, 5, 6, 7, 3, 2, 1, 0)]
+    print(quotient_chain(cplx, shelling_order(cplx, fixed)))
     print()
 
     print("vertex-decomposable:", is_vertex_decomposable(cplx))

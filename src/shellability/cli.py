@@ -39,14 +39,7 @@ from .fileformat import (  # parse_complex is re-exported, not used here
     serialize_complex,
     serialize_nonfaces,
 )
-from .shelling import (
-    DEFAULT,
-    PermutationStrategy,
-    RandomStrategy,
-    SearchStrategy,
-    is_shellable,
-    shelling_order,
-)
+from .shelling import is_shellable, shelling_order, shuffled_facets
 
 
 def _bool_str(value: bool) -> str:
@@ -87,20 +80,17 @@ def _load(args) -> tuple[SimplicialComplex, tuple[Face, ...], str]:
     return (*parse_complex_with_order(text), name)
 
 
-def _strategy(args, cplx: SimplicialComplex, parsed_order) -> SearchStrategy:
+def _order(args, cplx: SimplicialComplex, parsed_order) -> list[Face] | None:
     if args.permutation is not None:
         indices = args.permutation
         if sorted(indices) != list(range(len(parsed_order))):
             raise InvalidPermutation(
                 f"expected a permutation of 0..{len(parsed_order) - 1}, got {indices}"
             )
-        # CLI indices refer to the facets as parsed; translate to the
-        # canonical positions the library works with
-        canonical = {face: i for i, face in enumerate(cplx.facets)}
-        return PermutationStrategy(tuple(canonical[parsed_order[p]] for p in indices))
+        return [parsed_order[p] for p in indices]
     if args.random:
-        return RandomStrategy(args.seed)
-    return DEFAULT
+        return shuffled_facets(cplx, args.seed)
+    return None
 
 
 def _face_flag(cplx: SimplicialComplex, value: str) -> Face:
@@ -114,7 +104,7 @@ def _searched(key: str, detail: Callable) -> Callable:
     """Fields of a shelling-order search, with ``detail`` of the order found."""
 
     def compute(args, cplx, parsed_order) -> dict:
-        found = shelling_order(cplx, _strategy(args, cplx, parsed_order))
+        found = shelling_order(cplx, _order(args, cplx, parsed_order))
         if found is None:
             return {"complex": cplx, "shelling_order": None, key: None}
         return {

@@ -45,7 +45,8 @@ class InvalidOrder(ComplexError):
 
 
 class InvalidPermutation(ComplexError):
-    """A permutation argument does not permute 0..n-1."""
+    """A CLI ``--permutation`` does not permute the indices 0..n-1 of the
+    facets as parsed."""
 
 
 class ParseError(Exception):

@@ -25,7 +25,7 @@ from .complexes import (
     is_pure,
     minimal_hitting_sets,
 )
-from .errors import InvalidOrder, InvalidPermutation, NotPure, VoidComplex
+from .errors import InvalidOrder, NotPure, VoidComplex
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,32 +36,6 @@ class ShellingOrder:
 
     facets: tuple[Face, ...]
     restrictions: tuple[Face, ...]
-
-
-@dataclass(frozen=True)
-class DefaultStrategy:
-    """Search the facets in canonical order."""
-
-
-@dataclass(frozen=True)
-class RandomStrategy:
-    """Shuffle the facets first; the seed fully determines the shuffle."""
-
-    seed: int
-
-
-@dataclass(frozen=True)
-class PermutationStrategy:
-    """Rearrange the facets by explicit indices before searching."""
-
-    perm: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", tuple(self.perm))
-
-
-SearchStrategy = DefaultStrategy | RandomStrategy | PermutationStrategy
-DEFAULT = DefaultStrategy()
 
 
 def _step(prefix: Sequence[Face], facet: Face) -> Face | None:
@@ -124,8 +98,12 @@ def _splitmix64(seed: int):
         yield z ^ (z >> 31)
 
 
-def _shuffled(items: Sequence[Face], seed: int) -> list[Face]:
-    out = list(items)
+def shuffled_facets(cplx: SimplicialComplex, seed: int) -> list[Face]:
+    """The facets in a seeded random order, for :func:`shelling_order`.
+
+    The shuffle draws from splitmix64 on ``seed`` mod 2**64, so a seed gives
+    the same order on every platform and Python version."""
+    out = list(cplx.facets)
     stream = _splitmix64(seed)
     for i in range(len(out) - 1, 0, -1):
         j = next(stream) % (i + 1)
@@ -133,34 +111,21 @@ def _shuffled(items: Sequence[Face], seed: int) -> list[Face]:
     return out
 
 
-def _arranged(facets: tuple[Face, ...], strategy: SearchStrategy) -> list[Face]:
-    if isinstance(strategy, DefaultStrategy):
-        return list(facets)
-    if isinstance(strategy, RandomStrategy):
-        return _shuffled(facets, strategy.seed)
-    if isinstance(strategy, PermutationStrategy):
-        if sorted(strategy.perm) != list(range(len(facets))):
-            raise InvalidPermutation(
-                f"expected a permutation of 0..{len(facets) - 1}, got {strategy.perm}"
-            )
-        return [facets[p] for p in strategy.perm]
-    raise TypeError(f"unknown search strategy: {strategy!r}")
-
-
 def shelling_order(
-    cplx: SimplicialComplex, strategy: SearchStrategy = DEFAULT
+    cplx: SimplicialComplex, order: Sequence[Face] | None = None
 ) -> ShellingOrder | None:
     """Depth-first search for a shelling order; ``None`` if there is none.
 
-    The facets are arranged per ``strategy`` and tried first-fit in that
-    order, one facet at a time, backtracking on failure.  Only facets of
-    maximal remaining cardinality are candidates (vacuous for pure complexes),
-    so returned orders have weakly decreasing dimension.  Deterministic for a
-    fixed strategy.
+    The facets are tried first-fit in ``order`` (the canonical facet order
+    when ``None``), one facet at a time, backtracking on failure.  Only
+    facets of maximal remaining cardinality are candidates (vacuous for pure
+    complexes), so returned orders have weakly decreasing dimension.
+    Deterministic for a fixed order.  Raises :class:`InvalidOrder` when
+    ``order`` is not a permutation of the facets.
     """
     if cplx.kind is Kind.VOID:
         raise VoidComplex("the void complex cannot be shelled")
-    arranged = _arranged(cplx.facets, strategy)
+    arranged = list(cplx.facets) if order is None else facet_permutation(cplx, order)
     n = len(arranged)
     sizes = [f.bit_count() for f in arranged]
     used = [False] * n
@@ -193,5 +158,5 @@ def shelling_order(
 
 
 def is_shellable(cplx: SimplicialComplex) -> bool:
-    """Whether some shelling order exists (searched with the default strategy)."""
-    return shelling_order(cplx, DEFAULT) is not None
+    """Whether some shelling order exists (searched in canonical order)."""
+    return shelling_order(cplx) is not None

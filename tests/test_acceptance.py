@@ -30,11 +30,9 @@ from helpers import (
     words,
 )
 from shellability import (
-    InvalidPermutation,
+    InvalidOrder,
     Kind,
     MonomialSet,
-    PermutationStrategy,
-    RandomStrategy,
     alexander_dual,
     dual_ideal_generators,
     from_facets,
@@ -53,6 +51,7 @@ from shellability import (
     relabelled,
     shedding_vertices,
     shelling_order,
+    shuffled_facets,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -225,15 +224,21 @@ def test_criterion_6_negative_controls():
 def test_criterion_7_determinism():
     def check():
         demo = _demo_from_nonfaces()
-        assert shelling_order(demo, RandomStrategy(42)) == shelling_order(
-            demo, RandomStrategy(42)
+        assert shelling_order(demo, shuffled_facets(demo, 42)) == shelling_order(
+            demo, shuffled_facets(demo, 42)
         )
-        try:
-            shelling_order(demo, PermutationStrategy((0, 0, 1, 2, 3, 4, 5, 6)))
-        except InvalidPermutation:
-            pass
-        else:
-            raise AssertionError("non-permutation accepted")
+        facets = list(demo.facets)
+        for order in (
+            [facets[0], *facets[:-1]],
+            facets[:2],
+            [*facets[1:], facets[0] | facets[1]],
+        ):
+            try:
+                shelling_order(demo, order)
+            except InvalidOrder:
+                pass
+            else:
+                raise AssertionError("non-permutation accepted")
 
         env = dict(os.environ)
         src = str(DATA.parents[1] / "src")

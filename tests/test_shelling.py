@@ -22,12 +22,8 @@ from helpers import (
     words,
 )
 from shellability import (
-    DEFAULT,
     InvalidOrder,
-    InvalidPermutation,
     NotPure,
-    PermutationStrategy,
-    RandomStrategy,
     VertexSet,
     VoidComplex,
     from_facets,
@@ -40,9 +36,9 @@ from shellability import (
     restriction_faces,
     serialize_complex,
     shelling_order,
+    shuffled_facets,
 )
 from shellability.cli import main
-from shellability.shelling import _shuffled
 
 
 class TestMinimalHittingSets:
@@ -111,7 +107,7 @@ class TestIsShellingOrder:
             shells = shells and brute_step_restriction(seq[:i], facet) is not None
             prefix = seq[: i + 1]
             assert is_shelling_order(from_facets(c.vertices, prefix), prefix) == shells
-        order = shelling_order(c, RandomStrategy(rng.randrange(1 << 32)))
+        order = shelling_order(c, shuffled_facets(c, rng.randrange(1 << 32)))
         if order is not None:
             expected = brute_restriction_faces(list(order.facets))
             assert list(order.restrictions) == expected
@@ -187,14 +183,14 @@ class TestHFromShelling:
 
 class TestShellingOrderSearch:
     def test_default_finds_valid_order(self, demo):
-        order = shelling_order(demo, DEFAULT)
+        order = shelling_order(demo)
         assert order is not None
         assert is_shelling_order(demo, list(order.facets))
 
     def test_two_edges_have_none(self, two_edges):
-        assert shelling_order(two_edges, DEFAULT) is None
-        assert shelling_order(two_edges, RandomStrategy(7)) is None
-        assert shelling_order(two_edges, PermutationStrategy((1, 0))) is None
+        assert shelling_order(two_edges) is None
+        assert shelling_order(two_edges, shuffled_facets(two_edges, 7)) is None
+        assert shelling_order(two_edges, [two_edges.facets[i] for i in (1, 0)]) is None
 
     def test_single_facet(self, full3):
         order = shelling_order(full3)
@@ -209,12 +205,12 @@ class TestShellingOrderSearch:
             ((4, 5, 6, 7, 3, 2, 1, 0), O3),
         ]
         for perm, expected in cases:
-            order = shelling_order(demo, PermutationStrategy(perm))
+            order = shelling_order(demo, [demo.facets[i] for i in perm])
             assert list(order.facets) == faces_of(demo, expected)
 
     def test_random_is_deterministic(self, demo):
-        first = shelling_order(demo, RandomStrategy(42))
-        second = shelling_order(demo, RandomStrategy(42))
+        first = shelling_order(demo, shuffled_facets(demo, 42))
+        second = shelling_order(demo, shuffled_facets(demo, 42))
         assert first == second
 
     def test_seeded_shuffle_is_pinned(self, demo):
@@ -227,12 +223,16 @@ class TestShellingOrderSearch:
             2**64 + 42: [3, 1, 6, 2, 4, 0, 7, 5],
         }
         for seed, indices in cases.items():
-            assert _shuffled(demo.facets, seed) == [demo.facets[i] for i in indices]
+            assert shuffled_facets(demo, seed) == [demo.facets[i] for i in indices]
 
     def test_invalid_permutations(self, demo):
-        for perm in ((0, 0, 1, 2, 3, 4, 5, 6), (0, 1), (1, 2, 3, 4, 5, 6, 7, 8)):
-            with pytest.raises(InvalidPermutation):
-                shelling_order(demo, PermutationStrategy(perm))
+        facets = list(demo.facets)
+        repeated = [facets[0], *facets[:-1]]
+        short = facets[:2]
+        non_facet = [*facets[1:], facets[0] | facets[1]]
+        for order in (repeated, short, non_facet):
+            with pytest.raises(InvalidOrder):
+                shelling_order(demo, order)
 
     def test_void_rejected(self):
         void = from_facets(vset("ab"), [])
@@ -242,7 +242,7 @@ class TestShellingOrderSearch:
             is_shellable(void)
 
     def test_restriction_invariants(self, demo):
-        order = shelling_order(demo, RandomStrategy(5))
+        order = shelling_order(demo, shuffled_facets(demo, 5))
         assert order.restrictions[0] == 0
         for facet, rest in zip(order.facets, order.restrictions):
             assert rest & ~facet == 0
@@ -258,12 +258,12 @@ class TestShellingOrderSearch:
         rng = random.Random(2024)
         for _ in range(40):
             c = random_complex(rng, max_vertices=6, max_faces=6)
-            base = shelling_order(c, DEFAULT) is not None
+            base = shelling_order(c) is not None
             for seed in (0, 1, 99):
-                assert (shelling_order(c, RandomStrategy(seed)) is not None) == base
+                assert (shelling_order(c, shuffled_facets(c, seed)) is not None) == base
             n = len(c.facets)
             perm = tuple(reversed(range(n)))
-            assert (shelling_order(c, PermutationStrategy(perm)) is not None) == base
+            assert (shelling_order(c, [c.facets[i] for i in perm]) is not None) == base
 
     def test_completeness_against_permutation_brute_force(self):
         rng = random.Random(808)
@@ -281,7 +281,7 @@ class TestShellingOrderSearch:
             c = random_complex(rng, max_vertices=6, max_faces=6)
             if is_pure(c):
                 continue
-            order = shelling_order(c, RandomStrategy(3))
+            order = shelling_order(c, shuffled_facets(c, 3))
             if order is None:
                 continue
             seen += 1
