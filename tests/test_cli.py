@@ -19,7 +19,7 @@ from shellability import (
     serialize_nonfaces,
     minimal_nonfaces,
 )
-from shellability.cli import main, parse_complex_with_order
+from shellability.cli import _COMMANDS, main, parse_complex_with_order
 
 DATA = Path(__file__).parent / "data"
 DEMO = str(DATA / "demo.cplx")
@@ -189,6 +189,14 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: the void complex has no dimension\n"
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_void_document_is_refused(self, capsys, tmp_path, command, as_json):
+        void = tmp_path / "void.cplx"
+        void.write_text("vertices: a b\nfacets:\n")
+        assert main([command, *(["--json"] if as_json else []), str(void)]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_usage_error_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as info:
