@@ -116,7 +116,9 @@ class VertexSet:
 
 
 class Kind(Enum):
-    VOID = "void"  # no faces at all
+    """The irrelevant complex has only the empty face; every other complex is
+    proper.  There is no void kind: :func:`from_facets` refuses no faces."""
+
     IRRELEVANT = "irrelevant"  # only the empty face
     PROPER = "proper"
 
@@ -126,17 +128,17 @@ class SimplicialComplex:
     """Canonical facet list; build via :func:`from_facets` or :func:`from_nonfaces`.
 
     Only faces from outside the program go through :func:`from_facets`,
-    which validates them and keeps the inclusion-maximal ones.  A complex
-    derived from another one's facets (nonface duals, links, deletions,
-    relabellings) is an antichain by construction and is only sorted."""
+    which validates them, keeps the inclusion-maximal ones and refuses an
+    empty list (the void complex).  A complex derived from another one's
+    facets (nonface duals, links, deletions, relabellings) is a nonempty
+    antichain by construction and is only sorted.  So every complex has at
+    least one facet, hence at least the empty face."""
 
     vertices: VertexSet
     facets: tuple[Face, ...]
     kind: Kind
 
     def dimension(self) -> int:
-        if self.kind is Kind.VOID:
-            raise VoidComplex("the void complex has no dimension")
         return max(face_dim(f) for f in self.facets)
 
     def is_face(self, face: Face) -> bool:
@@ -155,14 +157,14 @@ def _from_antichain(vertices: VertexSet, facets: Iterable[Face]) -> SimplicialCo
     """Complex on pairwise incomparable faces: canonically sorted, no
     maximalisation."""
     ordered = tuple(sorted(facets, key=facet_sort_key))
-    kind = Kind.VOID if not ordered else Kind.IRRELEVANT if ordered == (0,) else Kind.PROPER
+    kind = Kind.IRRELEVANT if ordered == (0,) else Kind.PROPER
     return SimplicialComplex(vertices, ordered, kind)
 
 
 def from_facets(vertices: VertexSet, raw: Iterable[Face]) -> SimplicialComplex:
     """Canonical complex generated by ``raw``: inclusion-maximal faces only,
-    deduplicated and canonically sorted.  No faces at all gives the void
-    complex; the empty face alone gives the irrelevant complex ``{()}``."""
+    deduplicated and canonically sorted.  The empty face alone gives the
+    irrelevant complex ``{()}``; no faces at all raise :class:`VoidComplex`."""
     full = vertices.full_face
     cleaned = []
     for face in raw:
@@ -171,10 +173,12 @@ def from_facets(vertices: VertexSet, raw: Iterable[Face]) -> SimplicialComplex:
                 f"face uses vertex positions outside 0..{vertices.n - 1}"
             )
         cleaned.append(face)
+    if not cleaned:
+        raise VoidComplex("no faces given: the void complex is not supported")
     return _from_antichain(vertices, _maximal(cleaned))
 
 
-def minimal_hitting_sets(sets: Iterable[int], limit: int | None = None) -> list[int]:
+def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
     """Inclusion-minimal transversals of a family of bitmask sets, in
     canonical face order.
 
@@ -185,8 +189,7 @@ def minimal_hitting_sets(sets: Iterable[int], limit: int | None = None) -> list[
     reaches is minimal.  The vertices of the branched member leave the
     candidates and each comes back only after its own subtree, so each
     minimal transversal is reached once.  Sets of members are bitmasks over
-    their positions in the family.  ``limit`` stops the search once that
-    many transversals are known.
+    their positions in the family.
 
     The empty family has the single minimal transversal 0; a family holding
     the empty set has none.
@@ -202,8 +205,6 @@ def minimal_hitting_sets(sets: Iterable[int], limit: int | None = None) -> list[
 
     def mmcs(chosen: int, cand: int, unhit: int, crit: list[int]) -> None:
         # crit holds, per chosen vertex, the members it alone hits
-        if limit is not None and len(found) >= limit:
-            return
         if not unhit:
             found.append(chosen)
             return
@@ -246,7 +247,7 @@ def from_nonfaces(vertices: VertexSet, nonfaces: Iterable[Face]) -> SimplicialCo
     for nonface in nonfaces:
         if nonface == 0:
             raise InvalidNonface(
-                "the empty face cannot be a nonface; use the void complex explicitly"
+                "the empty face cannot be a nonface: it would leave no faces at all"
             )
         if nonface < 0 or nonface & ~full:
             raise InvalidVertex(
@@ -257,8 +258,7 @@ def from_nonfaces(vertices: VertexSet, nonfaces: Iterable[Face]) -> SimplicialCo
 
 
 def face_set(cplx: SimplicialComplex) -> set[Face]:
-    """All faces of the complex.  The void complex has none, not even the
-    empty face."""
+    """All faces of the complex, the empty face included."""
     seen: set[Face] = set()
     for facet in cplx.facets:
         seen.update(submasks(facet))
@@ -267,8 +267,6 @@ def face_set(cplx: SimplicialComplex) -> set[Face]:
 
 def f_vector(cplx: SimplicialComplex) -> FVector:
     """Face counts by cardinality, from the empty face up to top dimension."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex has no f-vector")
     d = cplx.dimension() + 1
     counts = [0] * (d + 1)
     for face in face_set(cplx):
@@ -279,8 +277,6 @@ def f_vector(cplx: SimplicialComplex) -> FVector:
 def h_vector(cplx: SimplicialComplex) -> HVector:
     """Alternating binomial transform of the f-vector, in exact integer
     arithmetic: entry j sums (-1)^(j-i) C(d-i, j-i) f_(i-1) over i <= j."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex has no h-vector")
     f = f_vector(cplx)
     d = cplx.dimension() + 1
     return tuple(
@@ -291,14 +287,12 @@ def h_vector(cplx: SimplicialComplex) -> HVector:
 
 def is_pure(cplx: SimplicialComplex) -> bool:
     """True when all facets have equal cardinality."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("purity is undefined for the void complex")
     return len({f.bit_count() for f in cplx.facets}) <= 1
 
 
 def is_simplex(cplx: SimplicialComplex) -> bool:
     """True when the complex has exactly one facet (the irrelevant complex
-    counts; the void complex does not)."""
+    counts)."""
     return len(cplx.facets) == 1
 
 
@@ -308,8 +302,6 @@ def all_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
     Lists the occupied vertices, then the subsets of two to k + 1 vertices
     of each facet, so a facet F costs C(|F|, 2) + ... + C(|F|, k + 1) sets,
     not 2^|F|."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex has no faces")
     if k < 0:
         raise ValueError("k must be >= 0")
     occupied = 0

@@ -13,8 +13,8 @@ occupied vertices.
 
 from __future__ import annotations
 
-from .complexes import Face, Kind, SimplicialComplex, all_faces, face_bits
-from .errors import NotAFace, VoidComplex
+from .complexes import Face, SimplicialComplex, all_faces, face_bits
+from .errors import NotAFace
 from .face_ops import face_deletion, link
 
 _Memo = dict[tuple[Face, ...], bool]
@@ -32,7 +32,8 @@ def is_shedding_face(cplx: SimplicialComplex, face: Face) -> bool:
 
 def _key(cplx: SimplicialComplex) -> tuple[Face, ...]:
     # compress onto occupied vertices so complexes differing only by unused
-    # vertices share memo entries
+    # vertices share memo entries; packing keeps the bit order, so the packed
+    # facets stay in canonical order
     occupied = 0
     for facet in cplx.facets:
         occupied |= facet
@@ -43,7 +44,6 @@ def _key(cplx: SimplicialComplex) -> tuple[Face, ...]:
         for b in face_bits(facet):
             mask |= 1 << remap[b]
         packed.append(mask)
-    packed.sort(key=lambda m: (-m.bit_count(), m))
     return tuple(packed)
 
 
@@ -72,8 +72,6 @@ def _decomposes_at(cplx: SimplicialComplex, face: Face, k: int, memo: _Memo) -> 
 def is_vertex_decomposable(cplx: SimplicialComplex) -> bool:
     """Recursive test: a simplex, or some shedding vertex whose link and
     deletion are both vertex-decomposable."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex is not decomposable")
     return _decomposable(cplx, 0, {})
 
 
@@ -90,8 +88,6 @@ def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
 def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
     """Decomposability by shedding faces of dimension at most ``k``; k = 0 is
     vertex-decomposability."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex is not decomposable")
     if k < 0:
         raise ValueError("k must be >= 0")
     return _decomposable(cplx, k, {})
@@ -99,8 +95,6 @@ def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
 
 def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
     """All faces of dimension at most ``k`` that shed, in canonical face order."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex has no shedding faces")
     if k < 0:
         raise ValueError("k must be >= 0")
     return [f for f in all_faces(cplx, k) if is_shedding_face(cplx, f)]
@@ -108,7 +102,5 @@ def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
 
 def shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
     """Vertices passing :func:`is_shedding_vertex`, in position order."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex has no shedding vertices")
     memo: _Memo = {}
     return [v for v in all_faces(cplx, 0) if _decomposes_at(cplx, v, 0, memo)]

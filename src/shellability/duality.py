@@ -17,7 +17,7 @@ from .complexes import (
     from_nonfaces,
     minimal_hitting_sets,
 )
-from .errors import InvalidComplex, VoidComplex, VoidDual
+from .errors import InvalidComplex, VoidDual
 from .shelling import _step
 
 
@@ -29,17 +29,12 @@ class MonomialSet:
     ground: VertexSet
     gens: tuple[Face, ...]
 
-    def gen_labels(self) -> list[tuple[str, ...]]:
-        return [self.ground.face_labels(g) for g in self.gens]
-
 
 def minimal_nonfaces(cplx: SimplicialComplex) -> MonomialSet:
     """Inclusion-minimal vertex subsets that are not faces, in canonical face
     order.  A set is a nonface exactly when it meets the complement of every
     facet, so these are the minimal transversals of the facet complements
     (:func:`~shellability.complexes.minimal_hitting_sets`)."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex has no nonface ideal")
     full = cplx.vertices.full_face
     gens = minimal_hitting_sets(full ^ f for f in cplx.facets)
     return MonomialSet(cplx.vertices, tuple(gens))
@@ -49,8 +44,6 @@ def alexander_dual(cplx: SimplicialComplex) -> SimplicialComplex:
     """Complex whose facets are the complements of the minimal nonfaces.  Its
     minimal nonfaces are the complements of the facets, so it is built from
     those by :func:`~shellability.complexes.from_nonfaces`."""
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex has no dual")
     full = cplx.vertices.full_face
     if cplx.facets == (full,):
         raise VoidDual("the full simplex has a void dual")

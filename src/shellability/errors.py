@@ -17,7 +17,7 @@ class InvalidNonface(ComplexError):
 
 
 class VoidComplex(ComplexError):
-    """The operation is undefined on the void complex."""
+    """No faces were given: the void complex is not a value of the library."""
 
 
 class VoidDual(ComplexError):

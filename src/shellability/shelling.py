@@ -19,13 +19,12 @@ from typing import Sequence
 from .complexes import (
     Face,
     HVector,
-    Kind,
     SimplicialComplex,
     facet_permutation,
     is_pure,
     minimal_hitting_sets,
 )
-from .errors import InvalidOrder, NotPure, VoidComplex
+from .errors import InvalidOrder, NotPure
 
 _MASK64 = (1 << 64) - 1
 
@@ -123,8 +122,6 @@ def shelling_order(
     Deterministic for a fixed order.  Raises :class:`InvalidOrder` when
     ``order`` is not a permutation of the facets.
     """
-    if cplx.kind is Kind.VOID:
-        raise VoidComplex("the void complex cannot be shelled")
     arranged = list(cplx.facets) if order is None else facet_permutation(cplx, order)
     n = len(arranged)
     sizes = [f.bit_count() for f in arranged]

@@ -12,6 +12,7 @@ from helpers import complexes, vset
 from shellability import (
     Kind,
     ParseError,
+    VoidComplex,
     from_facets,
     is_shelling_order,
     parse_complex,
@@ -24,6 +25,7 @@ from shellability.cli import _COMMANDS, main, parse_complex_with_order
 DATA = Path(__file__).parent / "data"
 DEMO = str(DATA / "demo.cplx")
 TWO_EDGES = str(DATA / "two_edges.cplx")
+VOID_ERROR = "error: no faces given: the void complex is not supported\n"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -50,7 +52,10 @@ class TestParseComplex:
         assert parse_complex(text) == demo
 
     def test_empty_facets_is_void(self):
-        assert parse_complex("facets:").kind is Kind.VOID
+        with pytest.raises(VoidComplex):
+            parse_complex("facets:")
+        with pytest.raises(VoidComplex):
+            from_facets(vset("ab"), [])
 
     def test_empty_face_token(self):
         parsed = parse_complex("vertices: a b\nfacets: ()")
@@ -96,10 +101,12 @@ class TestSerialisation:
         assert parse_complex(serialize_complex(demo)) == demo
 
     def test_void_and_irrelevant(self):
-        void = from_facets(vset("ab"), [])
         irrelevant = from_facets(vset("ab"), [0])
-        assert parse_complex(serialize_complex(void)) == void
+        assert serialize_complex(irrelevant) == "vertices: a b\nfacets: ()\n"
         assert parse_complex(serialize_complex(irrelevant)) == irrelevant
+        # the void complex has no value, so its document does not parse
+        with pytest.raises(VoidComplex):
+            parse_complex("vertices: a b\nfacets:\n")
 
     def test_nonfaces_round_trip(self, demo):
         doc = serialize_nonfaces(demo, minimal_nonfaces(demo).gens)
@@ -188,7 +195,7 @@ class TestCommands:
         assert main(["info", str(void)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: the void complex has no dimension\n"
+        assert captured.err == VOID_ERROR
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     @pytest.mark.parametrize("command", list(_COMMANDS))
@@ -196,7 +203,7 @@ class TestCommands:
         void = tmp_path / "void.cplx"
         void.write_text("vertices: a b\nfacets:\n")
         assert main([command, *(["--json"] if as_json else []), str(void)]) == 3
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr() == ("", VOID_ERROR)
 
     def test_usage_error_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as info:

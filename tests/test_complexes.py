@@ -78,8 +78,10 @@ class TestFromFacets:
         assert words(c, c.facets) == ["ab"]
 
     def test_void(self):
-        c = from_facets(vset("abc"), [])
-        assert c.kind is Kind.VOID and c.facets == ()
+        with pytest.raises(VoidComplex):
+            from_facets(vset("abc"), [])
+        with pytest.raises(VoidComplex):
+            from_facets(vset("abc"), iter(()))
 
     def test_irrelevant(self):
         c = from_facets(vset("abc"), [0])
@@ -210,7 +212,6 @@ class TestPurityAndSimplex:
         assert is_simplex(full3)
         assert not is_simplex(demo)
         assert is_simplex(from_facets(vset("ab"), [0]))
-        assert not is_simplex(from_facets(vset("ab"), []))
         assert is_simplex(cx("abcde", "e"))
 
 

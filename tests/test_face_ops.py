@@ -48,11 +48,6 @@ class TestLink:
         with pytest.raises(NotAFace):
             link(demo, fc(demo, "fg"))
 
-    def test_void_has_no_faces(self):
-        void = cx("ab", "")
-        with pytest.raises(NotAFace):
-            link(void, 0)
-
     @given(complexes(max_vertices=5))
     def test_face_characterisation(self, c):
         # link faces are exactly those disjoint from the face whose union is a face
