@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import shellability
 from helpers import complexes, vset
 from shellability import (
     Kind,
@@ -232,6 +234,14 @@ class TestImport:
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env
         )
         assert run.returncode == 0 and run.stdout == "[]\n"
+
+    def test_all_lists_every_public_name(self):
+        bound = {
+            name
+            for name, value in vars(shellability).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert sorted(shellability.__all__) == sorted(bound)
 
 
 class TestDeterminism:

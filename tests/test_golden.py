@@ -3,7 +3,8 @@
 Each case runs ``main(argv)`` in-process on one of the files in
 ``tests/data`` and compares what it printed, byte for byte, with the
 transcript stored under ``tests/data/golden``.  The stdout of
-``scripts/walkthrough.py`` is pinned the same way.  To record the transcripts
+``scripts/walkthrough.py`` and of ``scripts/survey_random_complexes.py
+--count 200 --seed 3`` is pinned the same way.  To record the transcripts
 again (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,7 +24,9 @@ import pytest
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 INDEX = GOLDEN / "cases.json"
-WALKTHROUGH = Path(__file__).parents[1] / "scripts" / "walkthrough.py"
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+WALKTHROUGH = SCRIPTS / "walkthrough.py"
+SURVEY = (SCRIPTS / "survey_random_complexes.py", "--count", "200", "--seed", "3")
 
 FILES = ("demo", "demo_nonfaces", "two_edges")
 COMMANDS = (
@@ -68,9 +71,17 @@ def capture(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def walkthrough() -> bytes:
-    run = subprocess.run([sys.executable, str(WALKTHROUGH)], capture_output=True, check=True)
+def script_stdout(script: Path, *args: str) -> bytes:
+    run = subprocess.run([sys.executable, str(script), *args], capture_output=True, check=True)
     return run.stdout
+
+
+def walkthrough() -> bytes:
+    return script_stdout(WALKTHROUGH)
+
+
+def survey() -> bytes:
+    return script_stdout(*SURVEY)
 
 
 def record() -> None:
@@ -82,6 +93,7 @@ def record() -> None:
         index[name] = {"argv": argv, "exit": code, "stderr": err}
     INDEX.write_text(json.dumps(index, indent=1) + "\n")
     (GOLDEN / "walkthrough.out").write_bytes(walkthrough())
+    (GOLDEN / "survey.out").write_bytes(survey())
 
 
 def test_every_case_is_recorded():
@@ -101,6 +113,10 @@ def test_transcript(name, argv):
 
 def test_walkthrough():
     assert walkthrough() == (GOLDEN / "walkthrough.out").read_bytes()
+
+
+def test_survey():
+    assert survey() == (GOLDEN / "survey.out").read_bytes()
 
 
 if __name__ == "__main__":
