@@ -91,6 +91,14 @@ class TestParseComplex:
             parse_complex("vertices: a\n")
         with pytest.raises(ParseError):
             parse_complex("facets: a\nfacets: b\n")
+        for text, line, column in (
+            ("vertices: a b\nfacets: a ()\n", 2, 9),
+            ("vertices: a / b\nfacets: a\n", 1, 13),
+            ("vertices: a\nvertices: b\nfacets: a\n", 2, 1),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse_complex(text)
+            assert (info.value.line, info.value.column) == (line, column)
 
     def test_too_many_vertices(self):
         labels = " ".join(f"v{i}" for i in range(65))

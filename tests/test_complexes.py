@@ -41,6 +41,7 @@ class TestVertexSet:
         assert vs.index == {"a": 0, "b": 1, "c": 2}
         assert vs.face("ac") == 0b101
         assert vs.face_labels(0b101) == ("a", "c")
+        assert VertexSet(["a", "b"]).labels == ("a", "b")
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError):
@@ -58,6 +59,9 @@ class TestVertexSet:
     def test_unknown_label(self):
         with pytest.raises(InvalidVertex):
             vset("abc").face("ad")
+        for face in (0b1000, -1):
+            with pytest.raises(InvalidVertex):
+                vset("abc").face_labels(face)
 
 
 class TestFromFacets:
@@ -120,6 +124,10 @@ class TestFromNonfaces:
     def test_empty_nonface_rejected(self):
         with pytest.raises(InvalidNonface):
             from_nonfaces(vset("abc"), [0])
+
+    def test_out_of_range_nonface(self):
+        with pytest.raises(InvalidVertex):
+            from_nonfaces(vset("abc"), [0b1000])
 
     @given(complexes(max_vertices=5))
     def test_matches_brute_filter(self, c):

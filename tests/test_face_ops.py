@@ -133,3 +133,9 @@ class TestRelabelling:
                 mapped, sigma_mapped
             )
             assert f_vector(mapped) == f_vector(c)
+
+    def test_requires_a_permutation(self):
+        c = cx("abc", "ab bc")
+        for positions in ([0, 1], [0, 1, 1], [0, 1, 3]):
+            with pytest.raises(ValueError):
+                relabelled(c, positions)
