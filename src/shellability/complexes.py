@@ -26,27 +26,12 @@ MAX_VERTICES = 64  # one machine word per face
 _RESERVED_TOKENS = {"()"}  # "()" prints the empty face in the file format
 
 
-def face_dim(face: Face) -> int:
-    """Dimension of a face: cardinality minus one (the empty face has -1)."""
-    return face.bit_count() - 1
-
-
 def face_bits(face: Face) -> Iterator[int]:
     """Yield the set bit positions of ``face`` in ascending order."""
     while face:
         low = face & -face
         yield low.bit_length() - 1
         face ^= low
-
-
-def submasks(face: Face) -> Iterator[Face]:
-    """Yield every subset of ``face``, including ``face`` itself and 0."""
-    sub = face
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & face
 
 
 def facet_sort_key(face: Face) -> tuple[int, int]:
@@ -117,7 +102,8 @@ class VertexSet:
 
 class Kind(Enum):
     """The irrelevant complex has only the empty face; every other complex is
-    proper.  There is no void kind: :func:`from_facets` refuses no faces."""
+    proper.  There is no void kind: :class:`SimplicialComplex` refuses no
+    faces."""
 
     IRRELEVANT = "irrelevant"  # only the empty face
     PROPER = "proper"
@@ -125,21 +111,33 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Canonical facet list; build via :func:`from_facets` or :func:`from_nonfaces`.
+    """A complex stored as its facets, in canonical order.
 
-    Only faces from outside the program go through :func:`from_facets`,
-    which validates them, keeps the inclusion-maximal ones and refuses an
-    empty list (the void complex).  A complex derived from another one's
-    facets (nonface duals, links, deletions, relabellings) is a nonempty
-    antichain by construction and is only sorted.  So every complex has at
-    least one facet, hence at least the empty face."""
+    The constructor takes the facets as any iterable of pairwise
+    incomparable faces, sorts them canonically, and refuses an empty one (the
+    void complex) with :class:`VoidComplex`.  So every complex has at least
+    one facet, hence at least the empty face.  It checks neither the
+    antichain nor the vertex range: faces from outside the program go
+    through :func:`from_facets` or :func:`from_nonfaces`, which do.  A
+    complex derived from another one's facets (nonface duals, links,
+    deletions, relabellings) is an antichain by construction."""
 
     vertices: VertexSet
     facets: tuple[Face, ...]
-    kind: Kind
+
+    def __post_init__(self) -> None:
+        # sort before testing: an iterator is truthy even when it is empty
+        object.__setattr__(self, "facets", tuple(sorted(self.facets, key=facet_sort_key)))
+        if not self.facets:
+            raise VoidComplex("no faces given: the void complex is not supported")
+
+    @property
+    def kind(self) -> Kind:
+        """Irrelevant when the only face is the empty one, else proper."""
+        return Kind.IRRELEVANT if self.facets == (0,) else Kind.PROPER
 
     def dimension(self) -> int:
-        return max(face_dim(f) for f in self.facets)
+        return max(f.bit_count() for f in self.facets) - 1
 
     def is_face(self, face: Face) -> bool:
         return any(face & ~facet == 0 for facet in self.facets)
@@ -153,18 +151,11 @@ def _maximal(faces: Iterable[Face]) -> list[Face]:
     return [f for f in pool if not any(g != f and f & ~g == 0 for g in pool)]
 
 
-def _from_antichain(vertices: VertexSet, facets: Iterable[Face]) -> SimplicialComplex:
-    """Complex on pairwise incomparable faces: canonically sorted, no
-    maximalisation."""
-    ordered = tuple(sorted(facets, key=facet_sort_key))
-    kind = Kind.IRRELEVANT if ordered == (0,) else Kind.PROPER
-    return SimplicialComplex(vertices, ordered, kind)
-
-
 def from_facets(vertices: VertexSet, raw: Iterable[Face]) -> SimplicialComplex:
-    """Canonical complex generated by ``raw``: inclusion-maximal faces only,
-    deduplicated and canonically sorted.  The empty face alone gives the
-    irrelevant complex ``{()}``; no faces at all raise :class:`VoidComplex`."""
+    """Complex generated by ``raw``: the faces are checked against the vertex
+    set, and only the inclusion-maximal ones are kept, once each.  The empty
+    face alone gives the irrelevant complex ``{()}``; no faces at all raise
+    :class:`VoidComplex`."""
     full = vertices.full_face
     cleaned = []
     for face in raw:
@@ -173,9 +164,7 @@ def from_facets(vertices: VertexSet, raw: Iterable[Face]) -> SimplicialComplex:
                 f"face uses vertex positions outside 0..{vertices.n - 1}"
             )
         cleaned.append(face)
-    if not cleaned:
-        raise VoidComplex("no faces given: the void complex is not supported")
-    return _from_antichain(vertices, _maximal(cleaned))
+    return SimplicialComplex(vertices, _maximal(cleaned))
 
 
 def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
@@ -195,8 +184,6 @@ def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
     the empty set has none.
     """
     family = list(sets)
-    if any(s == 0 for s in family):
-        return []
     holders: dict[int, int] = {}  # vertex -> the members that hold it
     for i, member in enumerate(family):
         for b in face_bits(member):
@@ -254,22 +241,22 @@ def from_nonfaces(vertices: VertexSet, nonfaces: Iterable[Face]) -> SimplicialCo
                 f"nonface uses vertex positions outside 0..{vertices.n - 1}"
             )
         checked.append(nonface)
-    return _from_antichain(vertices, [full ^ t for t in minimal_hitting_sets(checked)])
-
-
-def face_set(cplx: SimplicialComplex) -> set[Face]:
-    """All faces of the complex, the empty face included."""
-    seen: set[Face] = set()
-    for facet in cplx.facets:
-        seen.update(submasks(facet))
-    return seen
+    return SimplicialComplex(vertices, [full ^ t for t in minimal_hitting_sets(checked)])
 
 
 def f_vector(cplx: SimplicialComplex) -> FVector:
-    """Face counts by cardinality, from the empty face up to top dimension."""
-    d = cplx.dimension() + 1
-    counts = [0] * (d + 1)
-    for face in face_set(cplx):
+    """Face counts by cardinality, from the empty face up to top dimension.
+
+    Collects the nonempty subsets of every facet; the empty face, which
+    every complex has, is counted once."""
+    seen: set[Face] = set()
+    for facet in cplx.facets:
+        sub = facet
+        while sub:
+            seen.add(sub)
+            sub = (sub - 1) & facet
+    counts = [1] + [0] * (cplx.dimension() + 1)
+    for face in seen:
         counts[face.bit_count()] += 1
     return tuple(counts)
 
@@ -335,4 +322,4 @@ def relabelled(
     remapped = [
         sum(1 << perm[b] for b in face_bits(facet)) for facet in cplx.facets
     ]
-    return _from_antichain(cplx.vertices, remapped)
+    return SimplicialComplex(cplx.vertices, remapped)

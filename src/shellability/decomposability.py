@@ -14,7 +14,6 @@ occupied vertices.
 from __future__ import annotations
 
 from .complexes import Face, SimplicialComplex, all_faces, face_bits
-from .errors import NotAFace
 from .face_ops import face_deletion, link
 
 _Memo = dict[tuple[Face, ...], bool]
@@ -77,11 +76,10 @@ def is_vertex_decomposable(cplx: SimplicialComplex) -> bool:
 
 def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
     """Whether ``vertex`` can start a vertex decomposition: it sheds, and its
-    link and deletion are both vertex-decomposable."""
+    link and deletion are both vertex-decomposable.  Raises
+    :class:`NotAFace` as :func:`face_deletion` does."""
     if vertex.bit_count() != 1:
         raise ValueError("expected a single-vertex face")
-    if not cplx.is_face(vertex):
-        raise NotAFace("not a vertex of the complex")
     return _decomposes_at(cplx, vertex, 0, {})
 
 
@@ -95,8 +93,6 @@ def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
 
 def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
     """All faces of dimension at most ``k`` that shed, in canonical face order."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     return [f for f in all_faces(cplx, k) if is_shedding_face(cplx, f)]
 
 

@@ -2,14 +2,16 @@
 
 Results stay on the parent vertex set so faces remain comparable across a
 decomposition recursion; vertices outside every facet simply never occur.
-Both results are read off the parent's facets as an antichain, so neither
-goes through :func:`~shellability.complexes.from_facets`' validation and
-maximalisation, which only outside input needs.
+Both results are read off the parent's facets as an antichain and handed
+straight to the :class:`~shellability.complexes.SimplicialComplex`
+constructor, so neither goes through
+:func:`~shellability.complexes.from_facets`' validation and maximalisation,
+which only outside input needs.
 """
 
 from __future__ import annotations
 
-from .complexes import Face, SimplicialComplex, _from_antichain, face_bits
+from .complexes import Face, SimplicialComplex, face_bits
 from .errors import EmptyFace, NotAFace
 
 
@@ -21,7 +23,7 @@ def link(cplx: SimplicialComplex, face: Face) -> SimplicialComplex:
     one of them under another would put F under another facet."""
     if not cplx.is_face(face):
         raise NotAFace("link requires a face of the complex")
-    return _from_antichain(
+    return SimplicialComplex(
         cplx.vertices, [f & ~face for f in cplx.facets if face & ~f == 0]
     )
 
@@ -40,6 +42,6 @@ def face_deletion(cplx: SimplicialComplex, face: Face) -> SimplicialComplex:
         raise NotAFace("face deletion requires a face of the complex")
     kept = [f for f in cplx.facets if face & ~f]
     cut = [f & ~(1 << b) for f in cplx.facets if not face & ~f for b in face_bits(face)]
-    return _from_antichain(
+    return SimplicialComplex(
         cplx.vertices, kept + [c for c in cut if all(c & ~k for k in kept)]
     )

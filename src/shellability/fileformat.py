@@ -8,7 +8,8 @@ Faces are ``/``-separated groups of whitespace-separated labels; ``()``
 denotes the empty face.  The ``vertices:`` line is optional for facet input
 (labels are then collected in first-occurrence order) and required for
 nonface input.  An empty ``facets:`` line would be the void complex, which
-:func:`~shellability.complexes.from_facets` refuses with ``VoidComplex``.
+the :class:`~shellability.complexes.SimplicialComplex` constructor refuses
+with ``VoidComplex``.
 """
 
 from __future__ import annotations
