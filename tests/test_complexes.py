@@ -170,6 +170,10 @@ class TestFVector:
     def test_irrelevant(self):
         assert f_vector(from_facets(vset("ab"), [0])) == (1,)
 
+    def test_void_rejected(self):
+        with pytest.raises(VoidComplex):
+            f_vector(from_facets(vset("ab"), []))
+
     @given(complexes())
     def test_matches_brute_enumeration(self, c):
         f = f_vector(c)
@@ -188,6 +192,10 @@ class TestHVector:
 
     def test_demo(self, demo):
         assert h_vector(demo) == (1, 4, 3, 0)
+
+    def test_void_rejected(self):
+        with pytest.raises(VoidComplex):
+            h_vector(from_facets(vset("ab"), []))
 
     @given(complexes())
     def test_length_and_leading_entry(self, c):
@@ -265,3 +273,7 @@ class TestDimension:
     def test_values(self, demo):
         assert demo.dimension() == 2
         assert from_facets(vset("ab"), [0]).dimension() == -1
+
+    def test_void_rejected(self):
+        with pytest.raises(VoidComplex):
+            from_facets(vset("ab"), []).dimension()

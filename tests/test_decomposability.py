@@ -19,6 +19,7 @@ from helpers import (
 from shellability import (
     EmptyFace,
     NotAFace,
+    VoidComplex,
     all_faces,
     face_deletion,
     from_facets,
@@ -45,6 +46,10 @@ class TestIsVertexDecomposable:
 
     def test_two_edges(self, two_edges):
         assert not is_vertex_decomposable(two_edges)
+
+    def test_void_rejected(self):
+        with pytest.raises(VoidComplex):
+            is_vertex_decomposable(from_facets(vset("ab"), []))
 
     def test_paths_and_cycles(self):
         assert is_vertex_decomposable(cx("abc", "ab bc"))
@@ -167,6 +172,12 @@ class TestSheddingLists:
         c = two_large_facets()
         assert shedding_faces(c, 0) == [1, 1 << 40]
         assert is_k_decomposable(c, 1)
+
+    def test_void_rejected(self):
+        with pytest.raises(VoidComplex):
+            shedding_faces(from_facets(vset("ab"), []), 0)
+        with pytest.raises(VoidComplex):
+            shedding_vertices(from_facets(vset("ab"), []))
 
 
 class TestAgainstBruteForce:

@@ -29,6 +29,7 @@ from shellability import (
     Kind,
     MonomialSet,
     VertexSet,
+    VoidComplex,
     VoidDual,
     alexander_dual,
     dual_ideal_generators,
@@ -56,6 +57,10 @@ class TestMinimalNonfaces:
     def test_unused_vertices_are_nonfaces(self):
         c = cx("abcd", "ab")
         assert words(c, minimal_nonfaces(c).gens) == ["c", "d"]
+
+    def test_void_rejected(self):
+        with pytest.raises(VoidComplex):
+            minimal_nonfaces(from_facets(vset("ab"), []))
 
     @given(complexes(max_vertices=6))
     def test_matches_brute_force(self, c):
@@ -119,6 +124,10 @@ class TestAlexanderDual:
     def test_full_simplex_rejected(self, full3):
         with pytest.raises(VoidDual):
             alexander_dual(full3)
+
+    def test_void_rejected(self):
+        with pytest.raises(VoidComplex):
+            alexander_dual(from_facets(vset("ab"), []))
 
     @given(complexes(max_vertices=7))
     def test_involution(self, c):
