@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's own algorithms: faces are found
 by filtering all 2^n subsets, shelling steps by enumerating the subsets of
-each facet, transversals by scanning the whole power set of the universe,
+each facet (and the first shelling order by a memo-free depth-first search
+on those steps), transversals by scanning the whole power set of the universe,
 linear quotients by comparing every pair of earlier generators or facets,
 and decomposability by recursing on brute face sets (deletion and link by
 filtering, no memo).
@@ -62,6 +63,17 @@ def label_sets(cplx: SimplicialComplex, faces) -> set[frozenset[str]]:
 
 def demo_complex() -> SimplicialComplex:
     return cx("abcdefg", DEMO_FACETS)
+
+
+def bowtie(m: int) -> SimplicialComplex:
+    """Two fans of m triangles on v0..v(2m+2) sharing only their apex v0:
+    pure and connected but not shellable, and a first-fit search over the
+    canonical order refutes it only after trying many prefixes."""
+    vs = VertexSet(tuple(f"v{i}" for i in range(2 * m + 3)))
+    facets = []
+    for start in (1, m + 2):
+        facets.extend(1 | 1 << i | 1 << (i + 1) for i in range(start, start + m))
+    return from_facets(vs, facets)
 
 
 def two_large_facets() -> SimplicialComplex:
@@ -169,6 +181,31 @@ def brute_is_shelling_order(order) -> bool:
         brute_step_restriction(order[:i], order[i]) is not None
         for i in range(1, len(order))
     )
+
+
+def brute_first_shelling(order) -> tuple[list[Face], list[Face]] | None:
+    """The first shelling order (facets, restriction faces) that a memo-free
+    first-fit depth-first search meets, or None: at each depth the remaining
+    facets of largest size are tried in their ``order`` sequence, each step
+    checked by :func:`brute_step_restriction`."""
+
+    def extend(prefix, rests, remaining):
+        if not remaining:
+            return prefix, rests
+        largest = max(f.bit_count() for f in remaining)
+        for i, facet in enumerate(remaining):
+            if facet.bit_count() != largest:
+                continue
+            rest = brute_step_restriction(prefix, facet)
+            if rest is not None:
+                found = extend(
+                    [*prefix, facet], [*rests, rest], remaining[:i] + remaining[i + 1 :]
+                )
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], [], list(order))
 
 
 def brute_restriction_faces(order) -> list[Face]:

@@ -3,11 +3,13 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     O1,
     O2,
     O3,
+    brute_first_shelling,
     brute_is_shelling_order,
     brute_minimal_hitting_sets,
     brute_restriction_faces,
@@ -236,6 +238,16 @@ class TestShellingOrderSearch:
         assert order.restrictions[0] == 0
         for facet, rest in zip(order.facets, order.restrictions):
             assert rest & ~facet == 0
+
+    @settings(max_examples=150)
+    @given(st.one_of(complexes(), pure_complexes()), st.integers(0, 2**32))
+    def test_first_order_matches_reference_dfs(self, c, seed):
+        # the search returns exactly the order a memo-free first-fit DFS
+        # over the same facet sequence meets first, or None with it
+        for order in (list(c.facets), shuffled_facets(c, seed)):
+            found = shelling_order(c, order)
+            got = None if found is None else (list(found.facets), list(found.restrictions))
+            assert got == brute_first_shelling(order)
 
     @settings(max_examples=60)
     @given(complexes())
