@@ -18,7 +18,7 @@ from .complexes import (
     minimal_hitting_sets,
 )
 from .errors import InvalidComplex, VoidDual
-from .shelling import _step
+from .shelling import _walk
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,12 @@ def dual_ideal_generators(cplx: SimplicialComplex) -> MonomialSet:
     return MonomialSet(cplx.vertices, tuple(full ^ f for f in cplx.facets))
 
 
-def _check_generators(gens: tuple[Face, ...]) -> None:
+def _check_generators(gens: tuple[Face, ...], full: Face) -> None:
     if not gens:
         raise ValueError("generator list must be nonempty")
     for i, g in enumerate(gens):
+        if g & ~full:
+            raise ValueError("generators must lie in the ground set")
         for h in gens[i + 1 :]:
             if g & ~h == 0 or h & ~g == 0:
                 raise ValueError("generators must be pairwise incomparable")
@@ -73,12 +75,13 @@ def has_linear_quotients(mset: MonomialSet) -> bool:
     for each generator, the minimal support differences against all earlier
     generators must all be singletons.
 
-    With C the complement of each generator, g_j minus g_i equals C(g_i)
-    minus C(g_j), so this is the shelling step test on the complements."""
+    With C the complement of each generator in the ground set, g_j minus g_i
+    equals C(g_i) minus C(g_j), so this is the shelling step test on the
+    complements."""
     gens = mset.gens
-    _check_generators(gens)
-    comps = [~g for g in gens]
-    return all(_step(comps[:i], comps[i]) is not None for i in range(1, len(comps)))
+    full = mset.ground.full_face
+    _check_generators(gens, full)
+    return None not in _walk([full ^ g for g in gens], mset.ground.n)
 
 
 def linear_quotients_from_shelling(

@@ -1,12 +1,19 @@
 """Shelling orders: verification, restriction faces, and a backtracking search.
 
-Every caller uses one step test, :func:`_step`.  Facet F extends a shelling
-when each difference F minus G with an earlier facet G contains a vertex x
-for which F minus x lies in an earlier facet, that is, a vertex that is itself
-a one-vertex difference.  The union of those vertices is the restriction face,
-the unique minimal face that F adds.  By Björner and Wachs (*Shellable nonpure
-complexes and posets I*, 1996) this form holds for pure and non-pure complexes
-alike.
+Every caller uses one step test, :func:`_step`.  The facets placed so far are
+indices in a bitmask, and ``holders[v]`` is the bitmask of the placed facets
+that contain vertex v.  Facet F extends them when its restriction face, the
+set R of vertices x for which F minus x lies in a placed facet, lies in no
+placed facet itself; R is then the unique minimal face that F adds.  By
+Björner and Wachs (*Shellable nonpure complexes and posets I*, 1996) this
+form holds for pure and non-pure complexes alike.  A step costs O(|F|)
+bitmask operations, whatever the number of placed facets.
+
+The search remembers the placed sets it has refuted.  The step test depends
+only on the *set* of earlier facets, and the facets tried next (the largest
+remaining ones, in the given order) only on the remaining set, so a refuted
+set is refuted wherever the search meets it again, and skipping it changes
+no answer: the first order found stays the same.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ from .complexes import (
 from .errors import InvalidOrder, NotPure
 
 _MASK64 = (1 << 64) - 1
+# the most refuted sets one search remembers (about 12 MB when a set is a
+# bitmask of under 64 facets, 28 MB of 1,140); past it the search records no
+# more, so it may redo work but gives the same answer
+_DEAD_SETS_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -37,27 +48,57 @@ class ShellingOrder:
     restrictions: tuple[Face, ...]
 
 
-def _step(prefix: Sequence[Face], facet: Face) -> Face | None:
-    """Restriction face of ``facet`` placed after ``prefix``, or ``None`` when
-    that step does not shell."""
-    rest = 0
-    wide: list[Face] = []
-    for prev in prefix:
-        d = facet & ~prev
-        if d.bit_count() == 1:
-            rest |= d
-        else:
-            wide.append(d)
-    for d in wide:
-        if not d & rest:
-            return None
-    return rest
+def _vertices(face: Face) -> list[int]:
+    """The vertex indices of ``face``, ascending."""
+    out = []
+    while face:
+        low = face & -face
+        out.append(low.bit_length() - 1)
+        face ^= low
+    return out
+
+
+def _step(holders: list[int], placed: int, verts: list[int]) -> Face | None:
+    """Restriction face of the facet on vertices ``verts`` placed after the
+    facets in bitmask ``placed``, or ``None`` when that step does not shell.
+
+    ``holders[v]`` is the bitmask of the placed facets that contain vertex v.
+    A sieve over ``verts`` keeps in ``once`` the placed facets that miss
+    exactly one vertex of the facet; the vertices they miss form the
+    restriction face R, and the step shells iff no placed facet holds all
+    of R."""
+    none, once = placed, 0  # placed facets missing no vertex / one vertex so far
+    for v in verts:
+        h = holders[v]
+        once = once & h | none & ~h
+        none &= h
+    rest, over = 0, placed  # over: the placed facets holding all of R so far
+    for v in verts:
+        h = holders[v]
+        if once & ~h:
+            rest |= 1 << v
+            over &= h
+    return None if over else rest
+
+
+def _walk(seq: Sequence[Face], n: int):
+    """Each step's restriction face along ``seq`` (faces over ``n``
+    vertices), stopping after the first ``None``."""
+    holders = [0] * n
+    for i, facet in enumerate(seq):
+        verts = _vertices(facet)
+        rest = _step(holders, (1 << i) - 1, verts)
+        yield rest
+        if rest is None:
+            return
+        for v in verts:
+            holders[v] |= 1 << i
 
 
 def is_shelling_order(cplx: SimplicialComplex, order: Sequence[Face]) -> bool:
     """Whether ``order`` shells the complex, pure or not."""
     seq = facet_permutation(cplx, order)
-    return all(_step(seq[:i], seq[i]) is not None for i in range(1, len(seq)))
+    return None not in _walk(seq, cplx.vertices.n)
 
 
 def restriction_faces(cplx: SimplicialComplex, order: Sequence[Face]) -> list[Face]:
@@ -66,12 +107,9 @@ def restriction_faces(cplx: SimplicialComplex, order: Sequence[Face]) -> list[Fa
     seq = facet_permutation(cplx, order)
     if not is_pure(cplx):
         raise NotPure("restriction faces are defined for pure complexes")
-    out: list[Face] = []
-    for i, facet in enumerate(seq):
-        rest = _step(seq[:i], facet)
-        if rest is None:
-            raise InvalidOrder(f"not a shelling order at step {i + 1}")
-        out.append(rest)
+    out = list(_walk(seq, cplx.vertices.n))
+    if out[-1] is None:
+        raise InvalidOrder(f"not a shelling order at step {len(out)}")
     return out
 
 
@@ -118,40 +156,61 @@ def shelling_order(
     The facets are tried first-fit in ``order`` (the canonical facet order
     when ``None``), one facet at a time, backtracking on failure.  Only
     facets of maximal remaining cardinality are candidates (vacuous for pure
-    complexes), so returned orders have weakly decreasing dimension.
-    Deterministic for a fixed order.  Raises :class:`InvalidOrder` when
-    ``order`` is not a permutation of the facets.
+    complexes), so returned orders have weakly decreasing dimension.  Sets
+    of placed facets already refuted are skipped (up to ``_DEAD_SETS_CAP``
+    of them are remembered), which changes no answer.  Deterministic for a
+    fixed order.  Raises :class:`InvalidOrder` when ``order`` is not a
+    permutation of the facets.
     """
     arranged = list(cplx.facets) if order is None else facet_permutation(cplx, order)
     n = len(arranged)
-    sizes = [f.bit_count() for f in arranged]
-    used = [False] * n
-    placed: list[int] = []  # the depth-first path, as indices into arranged
-    prefix: list[Face] = []
+    verts = [_vertices(f) for f in arranged]
+    # bitmasks of the facet indices of each size, largest size first
+    of_size: dict[int, int] = {}
+    for i, vs in enumerate(verts):
+        of_size[len(vs)] = of_size.get(len(vs), 0) | 1 << i
+    levels = [of_size[z] for z in sorted(of_size, reverse=True)]
+    level = 0  # index into levels of the largest remaining size
+    holders = [0] * cplx.vertices.n
+    dead: set[int] = set()  # placed sets with no shelling completion
+    placed = 0
+    path: list[int] = []  # the depth-first path, as indices into arranged
     rests: list[Face] = []
     start = 0  # first index to try at the current depth
-    while len(placed) < n:
-        largest = max(sizes[i] for i in range(n) if not used[i])
-        for i in range(start, n):
-            if not used[i] and sizes[i] == largest:
-                rest = _step(prefix, arranged[i])
+    while len(path) < n:
+        if not levels[level] & ~placed:
+            level += 1
+        cands = levels[level] & ~placed & -(1 << start)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            if placed | low not in dead:
+                i = low.bit_length() - 1
+                rest = _step(holders, placed, verts[i])
                 if rest is not None:
                     break
         else:
-            if not placed:
+            if len(dead) < _DEAD_SETS_CAP:
+                dead.add(placed)
+            if not path:
                 return None
-            i = placed.pop()
-            used[i] = False
-            prefix.pop()
+            i = path.pop()
+            low = 1 << i
+            placed ^= low
+            for v in verts[i]:
+                holders[v] ^= low
             rests.pop()
+            if not levels[level] & low:
+                level -= 1
             start = i + 1
             continue
-        used[i] = True
-        placed.append(i)
-        prefix.append(arranged[i])
+        placed |= low
+        for v in verts[i]:
+            holders[v] |= low
+        path.append(i)
         rests.append(rest)
         start = 0
-    return ShellingOrder(tuple(prefix), tuple(rests))
+    return ShellingOrder(tuple(arranged[i] for i in path), tuple(rests))
 
 
 def is_shellable(cplx: SimplicialComplex) -> bool:

@@ -184,6 +184,8 @@ class TestHasLinearQuotients:
             has_linear_quotients(MonomialSet(vs, ()))
         with pytest.raises(ValueError):
             has_linear_quotients(MonomialSet(vs, (vs.face("ab"), vs.face("a"))))
+        with pytest.raises(ValueError):
+            has_linear_quotients(MonomialSet(vs, (vs.face("ab"), 0b1000)))
 
     @given(complexes(max_vertices=7, max_faces=8), st.randoms(use_true_random=False))
     def test_matches_minimal_difference_oracle(self, c, rnd):

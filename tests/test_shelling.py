@@ -9,6 +9,7 @@ from helpers import (
     O1,
     O2,
     O3,
+    bowtie,
     brute_first_shelling,
     brute_is_shelling_order,
     brute_minimal_hitting_sets,
@@ -40,7 +41,15 @@ from shellability import (
     shelling_order,
     shuffled_facets,
 )
+from shellability import shelling
 from shellability.cli import main
+
+# shellable 2-complexes on six vertices with a partial shelling that no
+# remaining facet extends (bef aef bcf cdf, and bef abf acf abd)
+NON_EXTENDABLE = (
+    "abc abd acd ade bde bcf cdf aef bef",
+    "abd bcd ace bce ade cde abf acf bef",
+)
 
 
 class TestMinimalHittingSets:
@@ -239,15 +248,64 @@ class TestShellingOrderSearch:
         for facet, rest in zip(order.facets, order.restrictions):
             assert rest & ~facet == 0
 
+    @staticmethod
+    def assert_first_order(c, order):
+        # the search returns exactly the order a memo-free first-fit DFS
+        # over the same facet sequence meets first, or None with it
+        found = shelling_order(c, order)
+        got = None if found is None else (list(found.facets), list(found.restrictions))
+        assert got == brute_first_shelling(order)
+
     @settings(max_examples=150)
     @given(st.one_of(complexes(), pure_complexes()), st.integers(0, 2**32))
     def test_first_order_matches_reference_dfs(self, c, seed):
-        # the search returns exactly the order a memo-free first-fit DFS
-        # over the same facet sequence meets first, or None with it
         for order in (list(c.facets), shuffled_facets(c, seed)):
-            found = shelling_order(c, order)
-            got = None if found is None else (list(found.facets), list(found.restrictions))
-            assert got == brute_first_shelling(order)
+            self.assert_first_order(c, order)
+
+    @settings(max_examples=60)
+    @given(st.one_of(complexes(), pure_complexes()), st.integers(0, 2**32))
+    def test_full_memo_keeps_the_first_order(self, c, seed):
+        # a memo with no room (or room for one refuted set) stops recording
+        # at once, and the search must still meet the same first order
+        for cap in (0, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(shelling, "_DEAD_SETS_CAP", cap)
+                for order in (list(c.facets), shuffled_facets(c, seed)):
+                    self.assert_first_order(c, order)
+
+    @pytest.mark.parametrize("cap", [0, 1, None])
+    def test_backtracking_orders_match_reference_dfs(self, monkeypatch, cap):
+        # a triangle with a disjoint edge makes the search back up from the
+        # edges into the triangles; bowties are refuted only after many
+        # backtracks; each NON_EXTENDABLE complex has a partial shelling that
+        # no facet extends, so a first-fit search over some of these orders
+        # backtracks before it succeeds.  cap None keeps the memo's bound
+        if cap is not None:
+            monkeypatch.setattr(shelling, "_DEAD_SETS_CAP", cap)
+        c = cx("abcde", "abc de")
+        self.assert_first_order(c, list(c.facets))
+        for m in range(3, 7):
+            c = bowtie(m)
+            self.assert_first_order(c, list(c.facets))
+        for facets in NON_EXTENDABLE:
+            c = cx("abcdef", facets)
+            for seed in range(50):
+                self.assert_first_order(c, shuffled_facets(c, seed))
+
+    def test_bowtie_refutation_work(self, monkeypatch):
+        # a work count, not a time: without the memo of refuted placed sets
+        # the search makes 228,696 step tests on bowtie m=12, with it 2,908
+        calls = 0
+        step = shelling._step
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        monkeypatch.setattr(shelling, "_step", counted)
+        assert shelling_order(bowtie(12)) is None
+        assert calls <= 5000
 
     @settings(max_examples=60)
     @given(complexes())
