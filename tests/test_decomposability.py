@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    bowtie,
     brute_is_k_decomposable,
     brute_shedding_faces,
     brute_shedding_vertices,
@@ -16,6 +17,7 @@ from helpers import (
     vset,
     words,
 )
+from shellability import decomposability
 from shellability import (
     EmptyFace,
     NotAFace,
@@ -178,6 +180,30 @@ class TestSheddingLists:
             shedding_faces(from_facets(vset("ab"), []), 0)
         with pytest.raises(VoidComplex):
             shedding_vertices(from_facets(vset("ab"), []))
+
+
+class TestTraversal:
+    @pytest.mark.parametrize(
+        "m, k, recursive, classes", [(7, 0, 1597, 285), (5, 1, 685, 123)]
+    )
+    def test_bowtie_work_counts(self, monkeypatch, m, k, recursive, classes):
+        # a work count, not a time: the recursion's calls and the memo
+        # classes it leaves pin the traversal (candidates in canonical face
+        # order, deletion before link, one memo entry per packed complex)
+        seen = []
+        memos = []
+        recurse = decomposability._decomposable
+
+        def counted(*args):
+            seen.append(None)
+            memos.append(args[-1])
+            return recurse(*args)
+
+        monkeypatch.setattr(decomposability, "_decomposable", counted)
+        assert not is_k_decomposable(bowtie(m), k)
+        assert len(seen) == 1 + recursive
+        assert len({id(memo) for memo in memos}) == 1
+        assert len(memos[0]) == classes
 
 
 class TestAgainstBruteForce:
