@@ -146,9 +146,29 @@ class SimplicialComplex:
         return [self.vertices.face_labels(f) for f in self.facets]
 
 
-def _maximal(faces: Iterable[Face]) -> list[Face]:
-    pool = set(faces)
-    return [f for f in pool if not any(g != f and f & ~g == 0 for g in pool)]
+def _maximal(faces: Iterable[Face], n: int) -> list[Face]:
+    """The inclusion-maximal members of ``faces`` (over ``n`` vertices), once
+    each: a face is maximal when no other face holds all of its vertices, so
+    it costs |F| ANDs of per-vertex bitmasks of the faces, not a pass over
+    all of them."""
+    pool = list(set(faces))
+    holders = [0] * n  # holders[v]: the faces in pool holding vertex v
+    for i, face in enumerate(pool):
+        while face:
+            low = face & -face
+            holders[low.bit_length() - 1] |= 1 << i
+            face ^= low
+    everyone = (1 << len(pool)) - 1
+    out = []
+    for i, face in enumerate(pool):
+        over, rest = everyone ^ 1 << i, face  # over: the others holding face so far
+        while rest and over:
+            low = rest & -rest
+            over &= holders[low.bit_length() - 1]
+            rest ^= low
+        if not over:
+            out.append(face)
+    return out
 
 
 def from_facets(vertices: VertexSet, raw: Iterable[Face]) -> SimplicialComplex:
@@ -164,7 +184,7 @@ def from_facets(vertices: VertexSet, raw: Iterable[Face]) -> SimplicialComplex:
                 f"face uses vertex positions outside 0..{vertices.n - 1}"
             )
         cleaned.append(face)
-    return SimplicialComplex(vertices, _maximal(cleaned))
+    return SimplicialComplex(vertices, _maximal(cleaned, vertices.n))
 
 
 def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:

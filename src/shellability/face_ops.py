@@ -1,7 +1,8 @@
 """Face-local constructions: links and face deletions.
 
-Results stay on the parent vertex set so faces remain comparable across a
-decomposition recursion; vertices outside every facet simply never occur.
+Results stay on the parent vertex set so faces remain comparable between a
+complex, its links and its deletions; vertices outside every facet simply
+never occur.
 Both results are read off the parent's facets as an antichain and handed
 straight to the :class:`~shellability.complexes.SimplicialComplex`
 constructor, so neither goes through

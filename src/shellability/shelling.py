@@ -58,20 +58,28 @@ def _vertices(face: Face) -> list[int]:
     return out
 
 
+def _sieve(holders: list[int], among: int, verts: list[int]) -> int:
+    """The facets in bitmask ``among`` that miss exactly one of the vertices
+    ``verts``, where ``holders[v]`` is the bitmask of the facets holding
+    vertex v.  The vertices they miss form the restriction face of the facet
+    on ``verts`` against ``among``."""
+    none, once = among, 0  # facets missing no vertex / one vertex so far
+    for v in verts:
+        h = holders[v]
+        once = once & h | none & ~h
+        none &= h
+    return once
+
+
 def _step(holders: list[int], placed: int, verts: list[int]) -> Face | None:
     """Restriction face of the facet on vertices ``verts`` placed after the
     facets in bitmask ``placed``, or ``None`` when that step does not shell.
 
     ``holders[v]`` is the bitmask of the placed facets that contain vertex v.
-    A sieve over ``verts`` keeps in ``once`` the placed facets that miss
-    exactly one vertex of the facet; the vertices they miss form the
-    restriction face R, and the step shells iff no placed facet holds all
-    of R."""
-    none, once = placed, 0  # placed facets missing no vertex / one vertex so far
-    for v in verts:
-        h = holders[v]
-        once = once & h | none & ~h
-        none &= h
+    :func:`_sieve` finds the placed facets that miss exactly one vertex of
+    the facet; the vertices they miss form the restriction face R, and the
+    step shells iff no placed facet holds all of R."""
+    once = _sieve(holders, placed, verts)
     rest, over = 0, placed  # over: the placed facets holding all of R so far
     for v in verts:
         h = holders[v]

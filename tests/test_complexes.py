@@ -2,11 +2,14 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     DEMO_NONFACES,
+    LETTERS,
     brute_face_set,
     brute_from_nonfaces,
+    brute_maximal,
     complexes,
     cx,
     label_sets,
@@ -114,6 +117,22 @@ class TestFromFacets:
     @given(complexes())
     def test_idempotent(self, c):
         assert from_facets(c.vertices, c.facets) == c
+
+    @given(st.data())
+    def test_matches_brute_maximal(self, data):
+        # pools with repeats, faces nested in other drawn faces, and the
+        # empty face
+        n = data.draw(st.integers(1, 7))
+        faces = st.integers(0, (1 << n) - 1)
+        pool = data.draw(st.lists(faces, min_size=1, max_size=10))
+        nested = data.draw(st.lists(st.tuples(st.sampled_from(pool), faces), max_size=6))
+        pool += [f & mask for f, mask in nested]
+        pool += data.draw(st.lists(st.sampled_from(pool), max_size=4))
+        pool += data.draw(st.sampled_from([[], [0]]))
+        c = from_facets(vset(LETTERS[:n]), pool)
+        # canonical facet order: cardinality descending, then bit pattern
+        expected = sorted(brute_maximal(pool), key=lambda f: (-f.bit_count(), f))
+        assert c.facets == tuple(expected)
 
 
 class TestFromNonfaces:

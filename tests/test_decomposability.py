@@ -190,18 +190,16 @@ class TestTraversal:
         # a work count, not a time: the recursion's calls and the memo
         # classes it leaves pin the traversal (candidates in canonical face
         # order, deletion before link, one memo entry per packed complex)
-        seen = []
-        memos = []
+        memos = []  # the memo each call was given
         recurse = decomposability._decomposable
 
         def counted(*args):
-            seen.append(None)
             memos.append(args[-1])
             return recurse(*args)
 
         monkeypatch.setattr(decomposability, "_decomposable", counted)
         assert not is_k_decomposable(bowtie(m), k)
-        assert len(seen) == 1 + recursive
+        assert len(memos) == 1 + recursive
         assert len({id(memo) for memo in memos}) == 1
         assert len(memos[0]) == classes
 
@@ -213,7 +211,9 @@ class TestAgainstBruteForce:
         for k in range(c.dimension() + 2):
             assert is_k_decomposable(c, k) == brute_is_k_decomposable(c, k)
             assert shedding_faces(c, k) == brute_shedding_faces(c, k)
-        assert shedding_vertices(c) == brute_shedding_vertices(c)
+        expected = brute_shedding_vertices(c)
+        assert shedding_vertices(c) == expected
+        assert [v for v in all_faces(c, 0) if is_shedding_vertex(c, v)] == expected
 
 
 class TestStructuralInvariants:
