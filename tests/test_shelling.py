@@ -140,9 +140,13 @@ class TestRestrictionFaces:
     def test_single_facet(self, full3):
         assert restriction_faces(full3, list(full3.facets)) == [0]
 
-    def test_invalid_order(self, two_edges):
-        with pytest.raises(InvalidOrder):
+    def test_invalid_order(self, two_edges, demo):
+        with pytest.raises(InvalidOrder, match=r"at step 2$"):
             restriction_faces(two_edges, list(two_edges.facets))
+        # canonical order: aef bef cef adg ...; adg meets the placed facets
+        # in a alone, so it is the first step that does not shell
+        with pytest.raises(InvalidOrder, match=r"at step 4$"):
+            restriction_faces(demo, list(demo.facets))
 
     def test_not_pure_rejected(self):
         c = cx("abc", "ab c")
