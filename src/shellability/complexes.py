@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InvalidNonface, InvalidOrder, InvalidVertex, VoidComplex
 
@@ -23,15 +23,29 @@ HVector = tuple[int, ...]
 
 MAX_VERTICES = 64  # one machine word per face
 
-_RESERVED_TOKENS = {"()"}  # "()" prints the empty face in the file format
+EMPTY_FACE_TOKEN = "()"  # prints the empty face in the file format
 
 
-def face_bits(face: Face) -> Iterator[int]:
-    """Yield the set bit positions of ``face`` in ascending order."""
+def face_bits(face: Face) -> list[int]:
+    """The set bit positions of ``face`` in ascending order.  The result is a
+    list, so it can be iterated as often as needed."""
+    out = []
     while face:
         low = face & -face
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         face ^= low
+    return out
+
+
+def _holders(vertex_lists: Iterable[list[int]], n: int) -> list[int]:
+    """The per-vertex incidence index of a family given by its members'
+    vertex lists (over ``n`` vertices): entry v is the bitmask of the
+    positions in the family whose members hold vertex v."""
+    holders = [0] * n
+    for i, verts in enumerate(vertex_lists):
+        for v in verts:
+            holders[v] |= 1 << i
+    return holders
 
 
 def facet_sort_key(face: Face) -> tuple[int, int]:
@@ -61,7 +75,7 @@ class VertexSet:
         for label in self.labels:
             if (
                 not label
-                or label in _RESERVED_TOKENS
+                or label == EMPTY_FACE_TOKEN
                 or "/" in label
                 or "#" in label
                 or any(ch.isspace() for ch in label)
@@ -152,22 +166,18 @@ def _maximal(faces: Iterable[Face], n: int) -> list[Face]:
     it costs |F| ANDs of per-vertex bitmasks of the faces, not a pass over
     all of them."""
     pool = list(set(faces))
-    holders = [0] * n  # holders[v]: the faces in pool holding vertex v
-    for i, face in enumerate(pool):
-        while face:
-            low = face & -face
-            holders[low.bit_length() - 1] |= 1 << i
-            face ^= low
+    verts = [face_bits(face) for face in pool]
+    holders = _holders(verts, n)
     everyone = (1 << len(pool)) - 1
     out = []
-    for i, face in enumerate(pool):
-        over, rest = everyone ^ 1 << i, face  # over: the others holding face so far
-        while rest and over:
-            low = rest & -rest
-            over &= holders[low.bit_length() - 1]
-            rest ^= low
+    for i, vs in enumerate(verts):
+        over = everyone ^ 1 << i  # the other faces holding this one's vertices so far
+        for v in vs:
+            if not over:
+                break
+            over &= holders[v]
         if not over:
-            out.append(face)
+            out.append(pool[i])
     return out
 
 
@@ -204,10 +214,7 @@ def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
     the empty set has none.
     """
     family = list(sets)
-    holders: dict[int, int] = {}  # vertex -> the members that hold it
-    for i, member in enumerate(family):
-        for b in face_bits(member):
-            holders[b] = holders.get(b, 0) | 1 << i
+    holders = _holders(map(face_bits, family), max(family, default=0).bit_length())
     found: list[int] = []
 
     def mmcs(chosen: int, cand: int, unhit: int, crit: list[int]) -> None:
@@ -237,7 +244,7 @@ def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
                 mmcs(chosen | 1 << b, cand, unhit & ~hit, kept + [unhit & hit])
             cand |= 1 << b
 
-    mmcs(0, sum(1 << b for b in holders), (1 << len(family)) - 1, [])
+    mmcs(0, sum(1 << b for b, h in enumerate(holders) if h), (1 << len(family)) - 1, [])
     return sorted(found, key=face_sort_key)
 
 

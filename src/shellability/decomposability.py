@@ -28,9 +28,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .complexes import Face, SimplicialComplex
-from .errors import EmptyFace, NotAFace
-from .shelling import _sieve, _vertices
+from .complexes import Face, SimplicialComplex, _holders, face_bits
+from .face_ops import _check_deletable
+from .shelling import _sieve
 
 _Memo = dict[tuple[Face, ...], bool]
 
@@ -60,11 +60,8 @@ class _Shedding:
 
     def __init__(self, facets: Sequence[Face]) -> None:
         n = max(facets).bit_length()
-        self.holders = holders = [0] * n
-        verts = [_vertices(f) for f in facets]
-        for i, vs in enumerate(verts):
-            for v in vs:
-                holders[v] |= 1 << i
+        verts = [face_bits(f) for f in facets]
+        self.holders = holders = _holders(verts, n)
         everyone = (1 << len(facets)) - 1
         self.bad = bad = [0] * n
         self.rests: list[list[Face]] = []
@@ -80,7 +77,7 @@ class _Shedding:
 
     def sheds(self, face: Face) -> bool:
         inside, worse = -1, 0
-        for v in _vertices(face):
+        for v in face_bits(face):
             inside &= self.holders[v]
             worse |= self.bad[v]
         return not inside & worse
@@ -102,10 +99,7 @@ class _Shedding:
 def is_shedding_face(cplx: SimplicialComplex, face: Face) -> bool:
     """Whether deleting ``face`` loses no facet of the complex.  Raises
     :class:`EmptyFace` or :class:`NotAFace` as :func:`face_deletion` does."""
-    if face == 0:
-        raise EmptyFace("cannot delete the empty face")
-    if not cplx.is_face(face):
-        raise NotAFace("face deletion requires a face of the complex")
+    _check_deletable(cplx, face)
     return _Shedding(cplx.facets).sheds(face)
 
 

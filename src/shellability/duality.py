@@ -7,18 +7,20 @@ its support face, so colon ideals reduce to support differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .complexes import (
     Face,
     Kind,
     SimplicialComplex,
     VertexSet,
+    _maximal,
     facet_permutation,
     from_nonfaces,
     minimal_hitting_sets,
 )
 from .errors import InvalidComplex, VoidDual
-from .shelling import _walk
+from .shelling import _sieve, _step, _walk
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,14 @@ def dual_ideal_generators(cplx: SimplicialComplex) -> MonomialSet:
     return MonomialSet(cplx.vertices, tuple(full ^ f for f in cplx.facets))
 
 
-def _check_generators(gens: tuple[Face, ...], full: Face) -> None:
+def _check_generators(gens: tuple[Face, ...], ground: VertexSet) -> None:
     if not gens:
         raise ValueError("generator list must be nonempty")
-    for i, g in enumerate(gens):
-        if g & ~full:
-            raise ValueError("generators must lie in the ground set")
-        for h in gens[i + 1 :]:
-            if g & ~h == 0 or h & ~g == 0:
-                raise ValueError("generators must be pairwise incomparable")
+    if any(g & ~ground.full_face for g in gens):
+        raise ValueError("generators must lie in the ground set")
+    # a repeated generator, or one under another, is not maximal among them
+    if len(_maximal(gens, ground.n)) != len(gens):
+        raise ValueError("generators must be pairwise incomparable")
 
 
 def has_linear_quotients(mset: MonomialSet) -> bool:
@@ -80,8 +81,9 @@ def has_linear_quotients(mset: MonomialSet) -> bool:
     complements."""
     gens = mset.gens
     full = mset.ground.full_face
-    _check_generators(gens, full)
-    return None not in _walk([full ^ g for g in gens], mset.ground.n)
+    _check_generators(gens, mset.ground)
+    complements = [full ^ g for g in gens]
+    return all(_step(*step) is not None for step in _walk(complements, mset.ground.n))
 
 
 def linear_quotients_from_shelling(
@@ -90,28 +92,24 @@ def linear_quotients_from_shelling(
     """Per-step quotient vertex sets induced by a facet order.
 
     Step i lists the vertices x for which order[i] minus some earlier facet
-    is exactly {x}.  They come ordered by the first earlier facet order[j]
-    with x in order[i] minus order[j], then by the first earlier facet
-    order[k] with order[i] minus order[k] equal to {x}.  Each step costs
-    O(i): one pass records the one-vertex differences, a second walks j
-    upward until every one is placed.
+    is exactly {x}: the restriction face of order[i] against the facets
+    before it, which the shelling step's sieve finds on the same walk
+    (:func:`~shellability.shelling._sieve`).  They come ordered by the first
+    earlier facet order[j] with x in order[i] minus order[j], then by the
+    first earlier facet order[k] with order[i] minus order[k] equal to {x};
+    each key is the lowest bit of a bitmask of earlier facets.  A step costs
+    O(|F|) bitmask operations, whatever the number of earlier facets.
     """
     seq = facet_permutation(cplx, order)
     labels = cplx.vertices.labels
     steps: list[tuple[str, ...]] = []
-    for i in range(1, len(seq)):
-        facet = seq[i]
-        diffs = (facet & ~prev for prev in seq[:i])
-        # one-vertex differences, deduplicated, in the order of their first k
-        singles = list(dict.fromkeys(d for d in diffs if d.bit_count() == 1))
-        rest = sum(singles)  # distinct single bits, so the sum is their union
-        hits: list[Face] = []
-        for prev in seq[:i]:
-            if not rest:
-                break
-            new = rest & ~prev
-            if new:
-                hits.extend(d for d in singles if d & new)
-                rest &= prev
-        steps.append(tuple(labels[d.bit_length() - 1] for d in hits))
+    for holders, placed, verts in islice(_walk(seq, cplx.vertices.n), 1, None):
+        once = _sieve(holders, placed, verts)
+        keyed = []
+        for v in verts:
+            missed = placed & ~holders[v]  # the earlier facets missing v
+            alone = once & missed  # those missing v alone
+            if alone:
+                keyed.append((missed & -missed, alone & -alone, labels[v]))
+        steps.append(tuple(label for _, _, label in sorted(keyed)))
     return steps

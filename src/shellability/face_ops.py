@@ -16,6 +16,15 @@ from .complexes import Face, SimplicialComplex, face_bits
 from .errors import EmptyFace, NotAFace
 
 
+def _check_deletable(cplx: SimplicialComplex, face: Face) -> None:
+    """Raise unless ``face`` is a nonempty face of the complex, as deleting
+    it requires."""
+    if face == 0:
+        raise EmptyFace("cannot delete the empty face")
+    if not cplx.is_face(face):
+        raise NotAFace("face deletion requires a face of the complex")
+
+
 def link(cplx: SimplicialComplex, face: Face) -> SimplicialComplex:
     """Subcomplex of faces disjoint from ``face`` whose union with it is a
     face.  The link of the empty face is the complex itself.
@@ -37,10 +46,7 @@ def face_deletion(cplx: SimplicialComplex, face: Face) -> SimplicialComplex:
     an F minus v lies under no other one and over no kept facet, since F
     would then lie under another facet.  So ``face`` sheds exactly when no
     F minus v survives."""
-    if face == 0:
-        raise EmptyFace("cannot delete the empty face")
-    if not cplx.is_face(face):
-        raise NotAFace("face deletion requires a face of the complex")
+    _check_deletable(cplx, face)
     kept = [f for f in cplx.facets if face & ~f]
     cut = [f & ~(1 << b) for f in cplx.facets if not face & ~f for b in face_bits(face)]
     return SimplicialComplex(

@@ -20,10 +20,8 @@ from typing import Iterable, Sequence
 # complexes are built through the module, so wrappers installed on it
 # (bench/spans.py) see the construction as its own layer
 from . import complexes
-from .complexes import Face, SimplicialComplex, VertexSet
+from .complexes import EMPTY_FACE_TOKEN, Face, SimplicialComplex, VertexSet
 from .errors import ParseError
-
-EMPTY_FACE_TOKEN = "()"
 
 _TOKENS = re.compile(r"[^\s/]+|/")
 

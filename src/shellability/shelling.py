@@ -9,6 +9,12 @@ Björner and Wachs (*Shellable nonpure complexes and posets I*, 1996) this
 form holds for pure and non-pure complexes alike.  A step costs O(|F|)
 bitmask operations, whatever the number of placed facets.
 
+A given order is read with one walk, :func:`_walk`, which hands each facet
+its ``holders`` and placed set; verification, restriction faces and (in
+:mod:`~shellability.duality`) linear quotients and the linear-quotient test
+all run on it, so each restriction face is computed one way.  The search
+keeps its own ``holders``, since it also takes facets back.
+
 The search remembers the placed sets it has refuted.  The step test depends
 only on the *set* of earlier facets, and the facets tried next (the largest
 remaining ones, in the given order) only on the remaining set, so a refuted
@@ -21,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-# minimal_hitting_sets moved to complexes, whose from_nonfaces needs it and
-# which cannot import this module; it is still importable from here
+# minimal_hitting_sets lives in complexes; it is re-exported here only because
+# bench/spans.py looks its span up in this module
 from .complexes import (
     Face,
     HVector,
     SimplicialComplex,
+    face_bits,
     facet_permutation,
     is_pure,
     minimal_hitting_sets,
@@ -46,16 +53,6 @@ class ShellingOrder:
 
     facets: tuple[Face, ...]
     restrictions: tuple[Face, ...]
-
-
-def _vertices(face: Face) -> list[int]:
-    """The vertex indices of ``face``, ascending."""
-    out = []
-    while face:
-        low = face & -face
-        out.append(low.bit_length() - 1)
-        face ^= low
-    return out
 
 
 def _sieve(holders: list[int], among: int, verts: list[int]) -> int:
@@ -90,15 +87,16 @@ def _step(holders: list[int], placed: int, verts: list[int]) -> Face | None:
 
 
 def _walk(seq: Sequence[Face], n: int):
-    """Each step's restriction face along ``seq`` (faces over ``n``
-    vertices), stopping after the first ``None``."""
+    """Yield ``(holders, placed, verts)`` for each facet along ``seq`` (faces
+    over ``n`` vertices): ``placed`` is the bitmask of the facets before it,
+    ``holders[v]`` the bitmask of those holding vertex v, and ``verts`` the
+    facet's vertices, ready for :func:`_step` or :func:`_sieve`.  The walk
+    never stops itself and ``holders`` is updated in place, so read each step
+    before taking the next."""
     holders = [0] * n
     for i, facet in enumerate(seq):
-        verts = _vertices(facet)
-        rest = _step(holders, (1 << i) - 1, verts)
-        yield rest
-        if rest is None:
-            return
+        verts = face_bits(facet)
+        yield holders, (1 << i) - 1, verts
         for v in verts:
             holders[v] |= 1 << i
 
@@ -106,7 +104,7 @@ def _walk(seq: Sequence[Face], n: int):
 def is_shelling_order(cplx: SimplicialComplex, order: Sequence[Face]) -> bool:
     """Whether ``order`` shells the complex, pure or not."""
     seq = facet_permutation(cplx, order)
-    return None not in _walk(seq, cplx.vertices.n)
+    return all(_step(*step) is not None for step in _walk(seq, cplx.vertices.n))
 
 
 def restriction_faces(cplx: SimplicialComplex, order: Sequence[Face]) -> list[Face]:
@@ -115,9 +113,12 @@ def restriction_faces(cplx: SimplicialComplex, order: Sequence[Face]) -> list[Fa
     seq = facet_permutation(cplx, order)
     if not is_pure(cplx):
         raise NotPure("restriction faces are defined for pure complexes")
-    out = list(_walk(seq, cplx.vertices.n))
-    if out[-1] is None:
-        raise InvalidOrder(f"not a shelling order at step {len(out)}")
+    out = []
+    for step in _walk(seq, cplx.vertices.n):
+        rest = _step(*step)
+        if rest is None:
+            raise InvalidOrder(f"not a shelling order at step {len(out) + 1}")
+        out.append(rest)
     return out
 
 
@@ -172,7 +173,7 @@ def shelling_order(
     """
     arranged = list(cplx.facets) if order is None else facet_permutation(cplx, order)
     n = len(arranged)
-    verts = [_vertices(f) for f in arranged]
+    verts = [face_bits(f) for f in arranged]
     # bitmasks of the facet indices of each size, largest size first
     of_size: dict[int, int] = {}
     for i, vs in enumerate(verts):
