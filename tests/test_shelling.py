@@ -143,8 +143,8 @@ class TestRestrictionFaces:
     def test_invalid_order(self, two_edges, demo):
         with pytest.raises(InvalidOrder, match=r"at step 2$"):
             restriction_faces(two_edges, list(two_edges.facets))
-        # canonical order: aef bef cef adg ...; adg meets the placed facets
-        # in a alone, so it is the first step that does not shell
+        # canonical order: aef bef cef adg ...; adg shares no edge with the
+        # facets before it, so it is the first step that does not shell
         with pytest.raises(InvalidOrder, match=r"at step 4$"):
             restriction_faces(demo, list(demo.facets))
 
