@@ -9,11 +9,16 @@ of :mod:`shellability.fileformat`.
 
 Exit codes: 1 when the query answers no (a false verdict, or no shelling
 order), otherwise 0; 2 flags usage or parse errors, 3 domain errors.
+
+The argument parser is built on the first :func:`main` call and shared by
+every later one in the process (:func:`build_parser`); each call parses its
+own argv into a fresh namespace.  Callers must not mutate the shared parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .complexes import Face, SimplicialComplex, f_vector, h_vector, is_pure
+from .complexes import Face, SimplicialComplex, _h_from_f, f_vector, is_pure
 from .decomposability import (
     is_k_decomposable,
     is_vertex_decomposable,
@@ -51,14 +56,15 @@ def _label_lists(cplx: SimplicialComplex, faces: Sequence[Face]) -> list[list[st
 
 
 def _describe(cplx: SimplicialComplex) -> dict:
+    fv = f_vector(cplx)
     return {
         "vertices": list(cplx.vertices.labels),
         "facets": [list(f) for f in cplx.facet_labels()],
         "kind": cplx.kind.value,
         "dimension": cplx.dimension(),
         "pure": is_pure(cplx),
-        "f_vector": list(f_vector(cplx)),
-        "h_vector": list(h_vector(cplx)),
+        "f_vector": list(fv),
+        "h_vector": list(_h_from_f(fv)),
     }
 
 
@@ -149,8 +155,9 @@ def _info_text(cplx, fields) -> Iterable[str]:
     yield f"dimension: {cplx.dimension()}"
     yield f"pure: {_bool_str(is_pure(cplx))}"
     yield _line("facets", _faces_text(cplx.facet_labels()))
-    yield _line("f-vector", " ".join(map(str, f_vector(cplx))))
-    yield _line("h-vector", " ".join(map(str, h_vector(cplx))))
+    fv = f_vector(cplx)
+    yield _line("f-vector", " ".join(map(str, fv)))
+    yield _line("h-vector", " ".join(map(str, _h_from_f(fv))))
 
 
 def _verdict_text(key: str) -> Callable:
@@ -289,7 +296,12 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command and its flags, built once per process:
+    later calls return the same object, so callers must not mutate it.
+    Parsing leaves it unchanged, and each ``parse_args`` call returns a new
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="shellability",
         description="Shellability and decomposability of finite simplicial complexes.",

@@ -28,7 +28,10 @@ EMPTY_FACE_TOKEN = "()"  # prints the empty face in the file format
 
 def face_bits(face: Face) -> list[int]:
     """The set bit positions of ``face`` in ascending order.  The result is a
-    list, so it can be iterated as often as needed."""
+    list, so it can be iterated as often as needed.  A negative ``face`` has
+    infinitely many set bits and raises :class:`ValueError`."""
+    if face < 0:
+        raise ValueError(f"a face is a nonnegative bitmask, got {face}")
     out = []
     while face:
         low = face & -face
@@ -291,8 +294,13 @@ def f_vector(cplx: SimplicialComplex) -> FVector:
 def h_vector(cplx: SimplicialComplex) -> HVector:
     """Alternating binomial transform of the f-vector, in exact integer
     arithmetic: entry j sums (-1)^(j-i) C(d-i, j-i) f_(i-1) over i <= j."""
-    f = f_vector(cplx)
-    d = cplx.dimension() + 1
+    return _h_from_f(f_vector(cplx))
+
+
+def _h_from_f(f: FVector) -> HVector:
+    """The h-vector of a complex with f-vector ``f`` (see :func:`h_vector`),
+    for callers that need both."""
+    d = len(f) - 1  # f runs from f_(-1) to f_(dim)
     return tuple(
         sum((-1) ** (j - i) * math.comb(d - i, j - i) * f[i] for i in range(j + 1))
         for j in range(d + 1)

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -22,7 +23,7 @@ from shellability import (
     serialize_nonfaces,
     minimal_nonfaces,
 )
-from shellability.cli import _COMMANDS, main, parse_complex_with_order
+from shellability.cli import _COMMANDS, build_parser, main, parse_complex_with_order
 
 DATA = Path(__file__).parent / "data"
 DEMO = str(DATA / "demo.cplx")
@@ -52,12 +53,6 @@ class TestParseComplex:
             "nonfaces: a b / a c / b c / c d / d e / d f / f g\n"
         )
         assert parse_complex(text) == demo
-
-    def test_empty_facets_is_void(self):
-        with pytest.raises(VoidComplex):
-            parse_complex("facets:")
-        with pytest.raises(VoidComplex):
-            from_facets(vset("ab"), [])
 
     def test_empty_face_token(self):
         parsed = parse_complex("vertices: a b\nfacets: ()")
@@ -269,3 +264,70 @@ class TestDeterminism:
         first = run(capsys, "linear-quotients", "--random", "--seed", "9", DEMO)
         second = run(capsys, "linear-quotients", "--random", "--seed", "9", DEMO)
         assert first == second
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; nothing one call parses
+    may reach the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_second_call_constructs_no_parser(self, monkeypatch):
+        build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["info", DEMO]) == 0
+        assert len(built) == 1 + len(_COMMANDS)  # the top level and one per command
+        built.clear()
+        assert main(["info", DEMO]) == 0
+        assert built == []
+
+    def test_calls_in_one_process_match_their_transcripts(self, capsys, monkeypatch):
+        # usage messages are wrapped to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        golden = DATA / "golden"
+        index = json.loads((golden / "cases.json").read_text())
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(DATA.parents[1] / "src") + os.pathsep + env.get("PYTHONPATH", "")
+
+        def transcript(name):
+            case = index[name]
+            return case["exit"], (golden / f"{name}.out").read_text(), case["stderr"]
+
+        def fresh_process(*argv):
+            done = subprocess.run(
+                [sys.executable, "-m", "shellability", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            return done.returncode, done.stdout, done.stderr
+
+        def in_process(*argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        unknown = ("unknown-command", DEMO)
+        bad_permutation = ("shelling-order", "--permutation", "1,x", DEMO)
+        steps = [
+            (("shelling-order", "--random", "--seed", "5", DEMO),
+             transcript("demo-shelling-order-random5")),
+            (("shelling-order", DEMO), transcript("demo-shelling-order")),
+            (unknown, fresh_process(*unknown)),
+            (bad_permutation, fresh_process(*bad_permutation)),
+            # the JSON report shows k, so a --k left over would show
+            (("k-decomposable", "--k", "1", "--json", DEMO),
+             transcript("demo-k-decomposable-k1-json")),
+            (("k-decomposable", "--json", DEMO), transcript("demo-k-decomposable-json")),
+        ]
+        assert [expected[0] for _, expected in steps] == [0, 0, 2, 2, 0, 0]
+        for argv, expected in steps:
+            assert in_process(*argv) == expected, argv

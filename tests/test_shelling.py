@@ -28,7 +28,6 @@ from shellability import (
     InvalidOrder,
     NotPure,
     VertexSet,
-    VoidComplex,
     from_facets,
     h_from_shelling,
     h_vector,
@@ -239,12 +238,6 @@ class TestShellingOrderSearch:
         for order in (repeated, short, non_facet):
             with pytest.raises(InvalidOrder):
                 shelling_order(demo, order)
-
-    def test_void_rejected(self):
-        with pytest.raises(VoidComplex):
-            shelling_order(from_facets(vset("ab"), []))
-        with pytest.raises(VoidComplex):
-            is_shellable(from_facets(vset("ab"), []))
 
     def test_restriction_invariants(self, demo):
         order = shelling_order(demo, shuffled_facets(demo, 5))
