@@ -11,7 +11,6 @@ from itertools import islice
 
 from .complexes import (
     Face,
-    Kind,
     SimplicialComplex,
     VertexSet,
     _maximal,
@@ -19,7 +18,7 @@ from .complexes import (
     from_nonfaces,
     minimal_hitting_sets,
 )
-from .errors import InvalidComplex, VoidDual
+from .errors import VoidDual
 from .shelling import _sieve, _step, _walk
 
 
@@ -53,17 +52,14 @@ def alexander_dual(cplx: SimplicialComplex) -> SimplicialComplex:
 
 
 def dual_ideal_generators(cplx: SimplicialComplex) -> MonomialSet:
-    """Complements of the facets, in facet order.  As a set this equals the
-    minimal nonfaces of the Alexander dual."""
-    if cplx.kind is not Kind.PROPER:
-        raise InvalidComplex("dual ideal generators require a proper complex")
+    """Complements of the facets, in facet order, for every complex.  As a
+    set this equals the minimal nonfaces of the Alexander dual; the
+    irrelevant complex gives the full face alone."""
     full = cplx.vertices.full_face
     return MonomialSet(cplx.vertices, tuple(full ^ f for f in cplx.facets))
 
 
 def _check_generators(gens: tuple[Face, ...], ground: VertexSet) -> None:
-    if not gens:
-        raise ValueError("generator list must be nonempty")
     if any(g & ~ground.full_face for g in gens):
         raise ValueError("generators must lie in the ground set")
     # a repeated generator, or one under another, is not maximal among them
@@ -78,7 +74,8 @@ def has_linear_quotients(mset: MonomialSet) -> bool:
 
     With C the complement of each generator in the ground set, g_j minus g_i
     equals C(g_i) minus C(g_j), so this is the shelling step test on the
-    complements."""
+    complements.  An empty set is the zero ideal, which has linear quotients
+    (there is no colon ideal to test)."""
     gens = mset.gens
     full = mset.ground.full_face
     _check_generators(gens, mset.ground)

@@ -32,14 +32,6 @@ class EmptyFace(ComplexError):
     """The operation requires a nonempty face."""
 
 
-class NotPure(ComplexError):
-    """The operation requires equi-dimensional facets."""
-
-
-class InvalidComplex(ComplexError):
-    """The complex is of the wrong kind for the operation."""
-
-
 class InvalidOrder(ComplexError):
     """A facet sequence is not a permutation of the facets, or fails to shell."""
 

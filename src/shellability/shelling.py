@@ -24,6 +24,7 @@ no answer: the first order found stays the same.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,10 +36,9 @@ from .complexes import (
     SimplicialComplex,
     face_bits,
     facet_permutation,
-    is_pure,
     minimal_hitting_sets,
 )
-from .errors import InvalidOrder, NotPure
+from .errors import InvalidOrder
 
 _MASK64 = (1 << 64) - 1
 # the most refuted sets one search remembers (about 12 MB when a set is a
@@ -108,11 +108,9 @@ def is_shelling_order(cplx: SimplicialComplex, order: Sequence[Face]) -> bool:
 
 
 def restriction_faces(cplx: SimplicialComplex, order: Sequence[Face]) -> list[Face]:
-    """The unique minimal new face of each step of a shelling order of a pure
-    complex (the empty face at position 0)."""
+    """The unique minimal new face of each step of a shelling order of the
+    complex, pure or not (the empty face at position 0)."""
     seq = facet_permutation(cplx, order)
-    if not is_pure(cplx):
-        raise NotPure("restriction faces are defined for pure complexes")
     out = []
     for step in _walk(seq, cplx.vertices.n):
         rest = _step(*step)
@@ -123,13 +121,20 @@ def restriction_faces(cplx: SimplicialComplex, order: Sequence[Face]) -> list[Fa
 
 
 def h_from_shelling(cplx: SimplicialComplex, order: Sequence[Face]) -> HVector:
-    """h-vector read off a shelling order: entry j counts the steps whose
-    restriction face has j vertices."""
-    rests = restriction_faces(cplx, order)
+    """h-vector read off a shelling order, pure or not.
+
+    The faces split into the intervals [R_i, F_i] from each step's
+    restriction face to its facet, and the faces of one interval add
+    t^|R_i| (1 - t)^(d - |F_i|) to h(t), where d = dim + 1.  On a pure
+    complex every |F_i| = d, so entry j counts the steps whose restriction
+    face has j vertices."""
+    seq = facet_permutation(cplx, order)
     d = cplx.dimension() + 1
     h = [0] * (d + 1)
-    for r in rests:
-        h[r.bit_count()] += 1
+    for facet, r in zip(seq, restriction_faces(cplx, seq)):
+        low, gap = r.bit_count(), d - facet.bit_count()
+        for k in range(gap + 1):
+            h[low + k] += (-1) ** k * math.comb(gap, k)
     return tuple(h)
 
 

@@ -144,19 +144,18 @@ def test_criterion_4_invariant_suite_on_random_complexes():
 
             vd = is_vertex_decomposable(cplx)
 
-            if pure:
-                # (b) h from any found shelling order matches the formula
-                order = shelling_order(cplx)
-                if order is not None:
-                    assert h_from_shelling(cplx, list(order.facets)) == h_vector(
-                        cplx
-                    )
-                # (c) vertex-decomposable => shellable => nonnegative h
-                shellable = order is not None
-                if vd:
-                    assert shellable
-                if shellable:
-                    assert all(entry >= 0 for entry in h_vector(cplx))
+            # (b) h from any found shelling order, pure or not, matches the
+            # formula
+            order = shelling_order(cplx)
+            if order is not None:
+                assert h_from_shelling(cplx, list(order.facets)) == h_vector(cplx)
+            # (c) vertex-decomposable => shellable, and for pure complexes
+            # shellable => nonnegative h
+            shellable = order is not None
+            if vd:
+                assert shellable
+            if pure and shellable:
+                assert all(entry >= 0 for entry in h_vector(cplx))
 
             # (d) 0-decomposability is vertex-decomposability
             assert is_k_decomposable(cplx, 0) == vd

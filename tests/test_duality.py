@@ -24,7 +24,6 @@ from helpers import (
     words,
 )
 from shellability import (
-    InvalidComplex,
     InvalidOrder,
     Kind,
     MonomialSet,
@@ -141,13 +140,15 @@ class TestDualIdealGenerators:
         c = cx("abc", "ab")
         assert words(c, dual_ideal_generators(c).gens) == ["c"]
 
-    def test_requires_proper(self):
-        with pytest.raises(InvalidComplex):
-            dual_ideal_generators(from_facets(vset("ab"), [0]))
+    def test_irrelevant_complex(self):
+        c = from_facets(vset("ab"), [0])
+        full = c.vertices.full_face
+        assert dual_ideal_generators(c).gens == (full,)
+        assert minimal_nonfaces(alexander_dual(c)).gens == (full,)
 
     @given(complexes(max_vertices=6))
     def test_equals_dual_nonfaces_as_set(self, c):
-        if c.kind is not Kind.PROPER or c.facets == (c.vertices.full_face,):
+        if c.facets == (c.vertices.full_face,):
             return
         gens = set(dual_ideal_generators(c).gens)
         assert gens == set(minimal_nonfaces(alexander_dual(c)).gens)
@@ -163,6 +164,14 @@ class TestHasLinearQuotients:
         vs = vset("abc")
         assert has_linear_quotients(MonomialSet(vs, (vs.face("ab"),)))
 
+    def test_zero_ideal(self):
+        # no generators: the zero ideal, as a simplex's nonface ideal is
+        vs = vset("abc")
+        assert has_linear_quotients(MonomialSet(vs, ()))
+        simplex = from_facets(vs, [vs.full_face])
+        assert minimal_nonfaces(simplex).gens == ()
+        assert has_linear_quotients(minimal_nonfaces(simplex))
+
     def test_disjoint_pair_fails_both_ways(self):
         vs = vset("abcd")
         ab, cd = vs.face("ab"), vs.face("cd")
@@ -172,8 +181,6 @@ class TestHasLinearQuotients:
     def test_precondition_violations(self):
         vs = vset("abc")
         ab = vs.face("ab")
-        with pytest.raises(ValueError, match="nonempty"):
-            has_linear_quotients(MonomialSet(vs, ()))
         for gens in [(ab, vs.face("a")), (ab, ab), (ab, 0)]:
             with pytest.raises(ValueError, match="incomparable"):
                 has_linear_quotients(MonomialSet(vs, gens))
