@@ -149,15 +149,15 @@ def _quotients(cplx, found) -> list[list[str]]:
 # --- text renderers: (input complex, fields) -> output lines --------------
 
 def _info_text(cplx, fields) -> Iterable[str]:
+    info = _describe(cplx)
     yield f"name: {fields['name']}"
-    yield _line("vertices", " ".join(cplx.vertices.labels))
-    yield f"kind: {cplx.kind.value}"
-    yield f"dimension: {cplx.dimension()}"
-    yield f"pure: {_bool_str(is_pure(cplx))}"
-    yield _line("facets", _faces_text(cplx.facet_labels()))
-    fv = f_vector(cplx)
-    yield _line("f-vector", " ".join(map(str, fv)))
-    yield _line("h-vector", " ".join(map(str, _h_from_f(fv))))
+    yield _line("vertices", " ".join(info["vertices"]))
+    yield f"kind: {info['kind']}"
+    yield f"dimension: {info['dimension']}"
+    yield f"pure: {_bool_str(info['pure'])}"
+    yield _line("facets", _faces_text(info["facets"]))
+    yield _line("f-vector", " ".join(map(str, info["f_vector"])))
+    yield _line("h-vector", " ".join(map(str, info["h_vector"])))
 
 
 def _verdict_text(key: str) -> Callable:

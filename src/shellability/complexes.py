@@ -8,7 +8,6 @@ equality, hashing, and search results reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -24,6 +23,9 @@ HVector = tuple[int, ...]
 MAX_VERTICES = 64  # one machine word per face
 
 EMPTY_FACE_TOKEN = "()"  # prints the empty face in the file format
+
+# up to this many larger faces, a scan beats indexing them (see _maximal)
+_SCAN_LARGER = 16
 
 
 def face_bits(face: Face) -> list[int]:
@@ -49,11 +51,6 @@ def _holders(vertex_lists: Iterable[list[int]], n: int) -> list[int]:
         for v in verts:
             holders[v] |= 1 << i
     return holders
-
-
-def facet_sort_key(face: Face) -> tuple[int, int]:
-    """Canonical facet order: cardinality descending, then bit pattern."""
-    return (-face.bit_count(), face)
 
 
 def face_sort_key(face: Face) -> tuple[int, int]:
@@ -130,21 +127,20 @@ class Kind(Enum):
 class SimplicialComplex:
     """A complex stored as its facets, in canonical order.
 
-    The constructor takes the facets as any iterable of pairwise
-    incomparable faces, sorts them canonically, and refuses an empty one (the
-    void complex) with :class:`VoidComplex`.  So every complex has at least
-    one facet, hence at least the empty face.  It checks neither the
-    antichain nor the vertex range: faces from outside the program go
-    through :func:`from_facets` or :func:`from_nonfaces`, which do.  A
-    complex derived from another one's facets (nonface duals, links,
-    deletions, relabellings) is an antichain by construction."""
+    The constructor is the one gate every complex passes, whether its faces
+    come from outside the program or from another complex.  It takes the
+    faces as any iterable, raises :class:`InvalidVertex` on a face outside
+    the vertex set, keeps the inclusion-maximal faces once each, in
+    canonical facet order, and refuses an empty result (the void complex)
+    with :class:`VoidComplex`.  So every complex has at least one facet,
+    hence at least the empty face, and its facets are an antichain within
+    its vertex set."""
 
     vertices: VertexSet
     facets: tuple[Face, ...]
 
     def __post_init__(self) -> None:
-        # sort before testing: an iterator is truthy even when it is empty
-        object.__setattr__(self, "facets", tuple(sorted(self.facets, key=facet_sort_key)))
+        object.__setattr__(self, "facets", tuple(_maximal(self.facets, self.vertices.n)))
         if not self.facets:
             raise VoidComplex("no faces given: the void complex is not supported")
 
@@ -165,39 +161,49 @@ class SimplicialComplex:
 
 def _maximal(faces: Iterable[Face], n: int) -> list[Face]:
     """The inclusion-maximal members of ``faces`` (over ``n`` vertices), once
-    each: a face is maximal when no other face holds all of its vertices, so
-    it costs |F| ANDs of per-vertex bitmasks of the faces, not a pass over
-    all of them."""
-    pool = list(set(faces))
-    verts = [face_bits(face) for face in pool]
-    holders = _holders(verts, n)
-    everyone = (1 << len(pool)) - 1
-    out = []
-    for i, vs in enumerate(verts):
-        over = everyone ^ 1 << i  # the other faces holding this one's vertices so far
-        for v in vs:
-            if not over:
-                break
-            over &= holders[v]
+    each, in canonical facet order: cardinality descending, then bit pattern.
+    A face outside the vertex set raises :class:`InvalidVertex`.
+
+    One pass over the distinct faces, largest first: a face can only lie in
+    a larger kept face, so the faces of the top size (every face of a pure
+    input) are kept untested.  Up to ``_SCAN_LARGER`` larger kept faces are
+    scanned; past that they are indexed into per-vertex bitmasks when the
+    size drops, and a face costs |F| ANDs of those, not a pass over them."""
+    pool = sorted(set(faces))
+    if pool and (pool[0] < 0 or pool[-1] >> n):  # sorted by value: the ends bound every face
+        raise InvalidVertex(f"face uses vertex positions outside 0..{n - 1}")
+    pool.sort(key=int.bit_count, reverse=True)  # stable, so ties keep bit order
+    out: list[Face] = []
+    larger = 0  # out[:larger] are the kept faces larger than this one
+    for face in pool:
+        if len(out) > larger and face.bit_count() < out[-1].bit_count():
+            larger = len(out)
+            if larger > _SCAN_LARGER:
+                holders = _holders(map(face_bits, out), n)
+        if larger > _SCAN_LARGER:
+            over = (1 << larger) - 1  # the larger kept faces holding this one's vertices so far
+            for v in face_bits(face):
+                over &= holders[v]
+                if not over:
+                    break
+        else:
+            over = 0  # a larger kept face holding this one, if any
+            for k in out[:larger]:
+                if not face & ~k:
+                    over = k
+                    break
         if not over:
-            out.append(pool[i])
+            out.append(face)
     return out
 
 
 def from_facets(vertices: VertexSet, raw: Iterable[Face]) -> SimplicialComplex:
-    """Complex generated by ``raw``: the faces are checked against the vertex
-    set, and only the inclusion-maximal ones are kept, once each.  The empty
-    face alone gives the irrelevant complex ``{()}``; no faces at all raise
-    :class:`VoidComplex`."""
-    full = vertices.full_face
-    cleaned = []
-    for face in raw:
-        if face < 0 or face & ~full:
-            raise InvalidVertex(
-                f"face uses vertex positions outside 0..{vertices.n - 1}"
-            )
-        cleaned.append(face)
-    return SimplicialComplex(vertices, _maximal(cleaned, vertices.n))
+    """Complex generated by ``raw``, as the :class:`SimplicialComplex`
+    constructor builds it: faces outside the vertex set raise
+    :class:`InvalidVertex`, only the inclusion-maximal faces are kept, once
+    each, the empty face alone gives the irrelevant complex ``{()}``, and no
+    faces at all raise :class:`VoidComplex`."""
+    return SimplicialComplex(vertices, raw)
 
 
 def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
@@ -256,8 +262,7 @@ def from_nonfaces(vertices: VertexSet, nonfaces: Iterable[Face]) -> SimplicialCo
 
     A set is a face when its complement meets every nonface, so the facets
     are the complements of the minimal transversals of the nonfaces
-    (:func:`minimal_hitting_sets`).  They are pairwise incomparable already
-    and need no maximalisation.  No nonfaces give the full simplex.
+    (:func:`minimal_hitting_sets`).  No nonfaces give the full simplex.
     """
     full = vertices.full_face
     checked: list[Face] = []
@@ -299,12 +304,17 @@ def h_vector(cplx: SimplicialComplex) -> HVector:
 
 def _h_from_f(f: FVector) -> HVector:
     """The h-vector of a complex with f-vector ``f`` (see :func:`h_vector`),
-    for callers that need both."""
-    d = len(f) - 1  # f runs from f_(-1) to f_(dim)
-    return tuple(
-        sum((-1) ** (j - i) * math.comb(d - i, j - i) * f[i] for i in range(j + 1))
-        for j in range(d + 1)
-    )
+    for callers that need both.
+
+    With F(x) the sum of f_(i-1) x^(d-i), the sum of h_j x^(d-j) is
+    F(x - 1), so h is a Taylor shift of f by -1: each pass is a synthetic
+    division by x + 1 (left to right, each entry less the new one before
+    it), whose remainder fixes one more entry from the right."""
+    h = list(f)
+    for top in range(len(h) - 1, 0, -1):
+        for j in range(1, top + 1):
+            h[j] -= h[j - 1]
+    return tuple(h)
 
 
 def is_pure(cplx: SimplicialComplex) -> bool:

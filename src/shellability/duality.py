@@ -15,7 +15,6 @@ from .complexes import (
     VertexSet,
     _maximal,
     facet_permutation,
-    from_nonfaces,
     minimal_hitting_sets,
 )
 from .errors import VoidDual
@@ -42,13 +41,14 @@ def minimal_nonfaces(cplx: SimplicialComplex) -> MonomialSet:
 
 
 def alexander_dual(cplx: SimplicialComplex) -> SimplicialComplex:
-    """Complex whose facets are the complements of the minimal nonfaces.  Its
-    minimal nonfaces are the complements of the facets, so it is built from
-    those by :func:`~shellability.complexes.from_nonfaces`."""
+    """Complex whose facets are the complements of the minimal nonfaces
+    (:func:`minimal_nonfaces`).  Its minimal nonfaces are the complements of
+    the facets.  The full simplex has no nonface, so its dual would be void
+    and raises :class:`VoidDual`."""
     full = cplx.vertices.full_face
     if cplx.facets == (full,):
         raise VoidDual("the full simplex has a void dual")
-    return from_nonfaces(cplx.vertices, [full ^ f for f in cplx.facets])
+    return SimplicialComplex(cplx.vertices, [full ^ g for g in minimal_nonfaces(cplx).gens])
 
 
 def dual_ideal_generators(cplx: SimplicialComplex) -> MonomialSet:

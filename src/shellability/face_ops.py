@@ -3,11 +3,9 @@
 Results stay on the parent vertex set so faces remain comparable between a
 complex, its links and its deletions; vertices outside every facet simply
 never occur.
-Both results are read off the parent's facets as an antichain and handed
-straight to the :class:`~shellability.complexes.SimplicialComplex`
-constructor, so neither goes through
-:func:`~shellability.complexes.from_facets`' validation and maximalisation,
-which only outside input needs.
+Both results are read off the parent's facets and handed to the
+:class:`~shellability.complexes.SimplicialComplex` constructor, which keeps
+the maximal ones in canonical order.
 """
 
 from __future__ import annotations
@@ -42,13 +40,11 @@ def face_deletion(cplx: SimplicialComplex, face: Face) -> SimplicialComplex:
     """Maximal faces of the complex not containing ``face``.
 
     These are the facets not containing ``face`` (kept), and each F minus v
-    (F containing ``face``, v in ``face``) that lies in no kept facet.  Such
-    an F minus v lies under no other one and over no kept facet, since F
-    would then lie under another facet.  So ``face`` sheds exactly when no
-    F minus v survives."""
+    (F containing ``face``, v in ``face``) that lies in no kept facet: the
+    constructor drops the others.  Such an F minus v lies under no other one
+    and over no kept facet, since F would then lie under another facet.  So
+    ``face`` sheds exactly when no F minus v survives."""
     _check_deletable(cplx, face)
     kept = [f for f in cplx.facets if face & ~f]
     cut = [f & ~(1 << b) for f in cplx.facets if not face & ~f for b in face_bits(face)]
-    return SimplicialComplex(
-        cplx.vertices, kept + [c for c in cut if all(c & ~k for k in kept)]
-    )
+    return SimplicialComplex(cplx.vertices, kept + cut)

@@ -128,7 +128,7 @@ def h_from_shelling(cplx: SimplicialComplex, order: Sequence[Face]) -> HVector:
     t^|R_i| (1 - t)^(d - |F_i|) to h(t), where d = dim + 1.  On a pure
     complex every |F_i| = d, so entry j counts the steps whose restriction
     face has j vertices."""
-    seq = facet_permutation(cplx, order)
+    seq = list(order)  # restriction_faces validates it
     d = cplx.dimension() + 1
     h = [0] * (d + 1)
     for facet, r in zip(seq, restriction_faces(cplx, seq)):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,9 @@ from shellability import (
     from_nonfaces,
     h_vector,
     is_pure,
+    is_shellable,
     is_simplex,
+    is_vertex_decomposable,
     minimal_nonfaces,
     parse_complex,
 )
@@ -132,6 +135,15 @@ class TestFromFacets:
         assert c.kind is Kind.PROPER
         assert SimplicialComplex(vset("ab"), [0]).kind is Kind.IRRELEVANT
 
+    def test_constructor_maximalises(self):
+        # ab and its own vertex a, given as facets: the faces are those of
+        # the simplex ab, so the constructor keeps ab alone and the
+        # verdicts are the simplex's
+        c = SimplicialComplex(VertexSet(("a", "b")), [0b11, 0b01])
+        assert c.facets == (0b11,)
+        assert is_simplex(c) and is_pure(c)
+        assert is_shellable(c) and is_vertex_decomposable(c)
+
     def test_irrelevant(self):
         c = from_facets(vset("abc"), [0])
         assert c.kind is Kind.IRRELEVANT and c.facets == (0,)
@@ -143,6 +155,9 @@ class TestFromFacets:
     def test_out_of_range_face(self):
         with pytest.raises(InvalidVertex):
             from_facets(vset("abc"), [0b1000])
+        for face in (0b100, -1):
+            with pytest.raises(InvalidVertex, match=r"outside 0\.\.1"):
+                SimplicialComplex(vset("ab"), [0b01, face])
 
     @given(complexes())
     def test_idempotent(self, c):
@@ -159,10 +174,26 @@ class TestFromFacets:
         pool += [f & mask for f, mask in nested]
         pool += data.draw(st.lists(st.sampled_from(pool), max_size=4))
         pool += data.draw(st.sampled_from([[], [0]]))
-        c = from_facets(vset(LETTERS[:n]), pool)
+        vs = vset(LETTERS[:n])
         # canonical facet order: cardinality descending, then bit pattern
-        expected = sorted(brute_maximal(pool), key=lambda f: (-f.bit_count(), f))
-        assert c.facets == tuple(expected)
+        expected = tuple(sorted(brute_maximal(pool), key=lambda f: (-f.bit_count(), f)))
+        assert from_facets(vs, pool).facets == expected
+        assert SimplicialComplex(vs, pool).facets == expected
+        assert SimplicialComplex(vs, iter(pool)).facets == expected
+
+    def test_many_larger_faces_match_brute_maximal(self):
+        # past a few larger kept faces the pass indexes them by vertex
+        # instead of scanning them: 17 to 40 of the 4-sets on nine
+        # vertices, then smaller faces of which some lie in none of them
+        rng = random.Random(14)
+        vs = vset(LETTERS[:9])
+        quads = [sum(1 << b for b in c) for c in combinations(range(9), 4)]
+        for _ in range(40):
+            pool = rng.sample(quads, rng.randint(17, 40))
+            pool += [sum(1 << b for b in rng.sample(range(9), rng.randint(0, 3)))
+                     for _ in range(15)]
+            expected = sorted(brute_maximal(pool), key=lambda f: (-f.bit_count(), f))
+            assert SimplicialComplex(vs, pool).facets == tuple(expected)
 
 
 class TestFromNonfaces:
@@ -243,6 +274,20 @@ class TestHVector:
         h = h_vector(c)
         assert len(h) == c.dimension() + 2
         assert h[0] == 1
+
+    @given(st.one_of(complexes(), pure_complexes()))
+    def test_matches_face_sum(self, c):
+        # h(t) is the sum over the faces s of t^|s| (1 - t)^(d - |s|),
+        # d = dim + 1, expanded one factor (1 - t) at a time
+        d = c.dimension() + 1
+        h = [0] * (d + 1)
+        for s in brute_face_set(c):
+            term = [0] * s.bit_count() + [1]
+            for _ in range(d - s.bit_count()):
+                term = [a - b for a, b in zip(term + [0], [0] + term)]
+            for j, a in enumerate(term):
+                h[j] += a
+        assert h_vector(c) == tuple(h)
 
     @given(pure_complexes())
     def test_sum_is_facet_count_when_pure(self, c):
