@@ -24,9 +24,6 @@ MAX_VERTICES = 64  # one machine word per face
 
 EMPTY_FACE_TOKEN = "()"  # prints the empty face in the file format
 
-# up to this many larger faces, a scan beats indexing them (see _maximal)
-_SCAN_LARGER = 16
-
 
 def face_bits(face: Face) -> list[int]:
     """The set bit positions of ``face`` in ascending order.  The result is a
@@ -166,31 +163,27 @@ def _maximal(faces: Iterable[Face], n: int) -> list[Face]:
 
     One pass over the distinct faces, largest first: a face can only lie in
     a larger kept face, so the faces of the top size (every face of a pure
-    input) are kept untested.  Up to ``_SCAN_LARGER`` larger kept faces are
-    scanned; past that they are indexed into per-vertex bitmasks when the
-    size drops, and a face costs |F| ANDs of those, not a pass over them."""
+    input) are kept untested.  When the size drops, the faces kept since the
+    last drop are added to per-vertex bitmasks of the kept faces, so testing
+    a face costs |F| ANDs of those, not a pass over the kept faces."""
     pool = sorted(set(faces))
     if pool and (pool[0] < 0 or pool[-1] >> n):  # sorted by value: the ends bound every face
         raise InvalidVertex(f"face uses vertex positions outside 0..{n - 1}")
     pool.sort(key=int.bit_count, reverse=True)  # stable, so ties keep bit order
     out: list[Face] = []
+    holders = [0] * n  # entry v: the bitmask of the positions in out[:larger] holding v
     larger = 0  # out[:larger] are the kept faces larger than this one
     for face in pool:
         if len(out) > larger and face.bit_count() < out[-1].bit_count():
+            for i in range(larger, len(out)):
+                for v in face_bits(out[i]):
+                    holders[v] |= 1 << i
             larger = len(out)
-            if larger > _SCAN_LARGER:
-                holders = _holders(map(face_bits, out), n)
-        if larger > _SCAN_LARGER:
-            over = (1 << larger) - 1  # the larger kept faces holding this one's vertices so far
+        over = (1 << larger) - 1  # the larger kept faces holding this one's vertices so far
+        if over:
             for v in face_bits(face):
                 over &= holders[v]
                 if not over:
-                    break
-        else:
-            over = 0  # a larger kept face holding this one, if any
-            for k in out[:larger]:
-                if not face & ~k:
-                    over = k
                     break
         if not over:
             out.append(face)

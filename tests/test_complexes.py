@@ -182,9 +182,9 @@ class TestFromFacets:
         assert SimplicialComplex(vs, iter(pool)).facets == expected
 
     def test_many_larger_faces_match_brute_maximal(self):
-        # past a few larger kept faces the pass indexes them by vertex
-        # instead of scanning them: 17 to 40 of the 4-sets on nine
-        # vertices, then smaller faces of which some lie in none of them
+        # many larger kept faces and a size drop after each size: 17 to 40
+        # of the 4-sets on nine vertices, then smaller faces of which some
+        # lie in none of them and so join the index at the next drop
         rng = random.Random(14)
         vs = vset(LETTERS[:9])
         quads = [sum(1 << b for b in c) for c in combinations(range(9), 4)]
