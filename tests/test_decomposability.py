@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,25 @@ class TestTraversal:
         assert len(memos) == 1 + recursive
         assert len({id(memo) for memo in memos}) == 1
         assert len(memos[0]) == classes
+
+
+class TestTwoFacets:
+    def test_closed_form_against_brute_force(self):
+        # every antichain of two facets on five vertices, every k up to
+        # dim + 1: F, G is k-decomposable iff F - G or G - F is one vertex
+        vs = vset("abcde")
+        cases = 0
+        for f, g in combinations(range(1, 1 << vs.n), 2):
+            if not (f & ~g and g & ~f):
+                continue
+            c = from_facets(vs, [f, g])
+            rule = (f & ~g).bit_count() == 1 or (g & ~f).bit_count() == 1
+            for k in range(c.dimension() + 2):
+                assert brute_is_k_decomposable(c, k) == rule
+                assert is_k_decomposable(c, k) == rule
+                cases += 1
+            assert is_vertex_decomposable(c) == rule
+        assert cases == 1110
 
 
 class TestAgainstBruteForce:
