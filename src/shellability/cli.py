@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .complexes import Face, SimplicialComplex, _h_from_f, f_vector, is_pure
+from .complexes import Face, SimplicialComplex, f_vector, h_vector, is_pure
 from .decomposability import (
     is_k_decomposable,
     is_vertex_decomposable,
@@ -56,15 +56,14 @@ def _label_lists(cplx: SimplicialComplex, faces: Sequence[Face]) -> list[list[st
 
 
 def _describe(cplx: SimplicialComplex) -> dict:
-    fv = f_vector(cplx)
     return {
         "vertices": list(cplx.vertices.labels),
         "facets": [list(f) for f in cplx.facet_labels()],
         "kind": cplx.kind.value,
         "dimension": cplx.dimension(),
         "pure": is_pure(cplx),
-        "f_vector": list(fv),
-        "h_vector": list(_h_from_f(fv)),
+        "f_vector": list(f_vector(cplx)),
+        "h_vector": list(h_vector(cplx)),
     }
 
 

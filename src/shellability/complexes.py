@@ -131,7 +131,13 @@ class SimplicialComplex:
     canonical facet order, and refuses an empty result (the void complex)
     with :class:`VoidComplex`.  So every complex has at least one facet,
     hence at least the empty face, and its facets are an antichain within
-    its vertex set."""
+    its vertex set.
+
+    Two values are computed on first use and kept on the instance: the
+    f-vector (read by :func:`f_vector` and :func:`h_vector`) and the minimal
+    nonfaces (read by :func:`~shellability.duality.minimal_nonfaces` and
+    :func:`~shellability.duality.alexander_dual`).  They are not fields, so
+    equality, hashing and ``repr`` see the vertices and facets alone."""
 
     vertices: VertexSet
     facets: tuple[Face, ...]
@@ -154,6 +160,26 @@ class SimplicialComplex:
 
     def facet_labels(self) -> list[tuple[str, ...]]:
         return [self.vertices.face_labels(f) for f in self.facets]
+
+    @cached_property
+    def _f_vector(self) -> FVector:
+        # the nonempty subsets of every facet, plus the empty face once
+        seen: set[Face] = set()
+        for facet in self.facets:
+            sub = facet
+            while sub:
+                seen.add(sub)
+                sub = (sub - 1) & facet
+        counts = [1] + [0] * (self.dimension() + 1)
+        for face in seen:
+            counts[face.bit_count()] += 1
+        return tuple(counts)
+
+    @cached_property
+    def _minimal_nonfaces(self) -> tuple[Face, ...]:
+        # a set is a nonface iff it meets the complement of every facet
+        full = self.vertices.full_face
+        return tuple(minimal_hitting_sets(full ^ f for f in self.facets))
 
 
 def _maximal(faces: Iterable[Face], n: int) -> list[Face]:
@@ -276,34 +302,20 @@ def f_vector(cplx: SimplicialComplex) -> FVector:
     """Face counts by cardinality, from the empty face up to top dimension.
 
     Collects the nonempty subsets of every facet; the empty face, which
-    every complex has, is counted once."""
-    seen: set[Face] = set()
-    for facet in cplx.facets:
-        sub = facet
-        while sub:
-            seen.add(sub)
-            sub = (sub - 1) & facet
-    counts = [1] + [0] * (cplx.dimension() + 1)
-    for face in seen:
-        counts[face.bit_count()] += 1
-    return tuple(counts)
+    every complex has, is counted once.  The counts are kept on the
+    complex, so they are collected once per complex."""
+    return cplx._f_vector
 
 
 def h_vector(cplx: SimplicialComplex) -> HVector:
     """Alternating binomial transform of the f-vector, in exact integer
-    arithmetic: entry j sums (-1)^(j-i) C(d-i, j-i) f_(i-1) over i <= j."""
-    return _h_from_f(f_vector(cplx))
-
-
-def _h_from_f(f: FVector) -> HVector:
-    """The h-vector of a complex with f-vector ``f`` (see :func:`h_vector`),
-    for callers that need both.
+    arithmetic: entry j sums (-1)^(j-i) C(d-i, j-i) f_(i-1) over i <= j.
 
     With F(x) the sum of f_(i-1) x^(d-i), the sum of h_j x^(d-j) is
     F(x - 1), so h is a Taylor shift of f by -1: each pass is a synthetic
     division by x + 1 (left to right, each entry less the new one before
     it), whose remainder fixes one more entry from the right."""
-    h = list(f)
+    h = list(cplx._f_vector)
     for top in range(len(h) - 1, 0, -1):
         for j in range(1, top + 1):
             h[j] -= h[j - 1]

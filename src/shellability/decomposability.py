@@ -21,6 +21,14 @@ facets of a deletion or a link.  Such a tuple is both the complex and its
 memo key, and no node builds a :class:`SimplicialComplex`.  Candidates are
 tried in canonical face order, the deletion before the link, and verdicts
 are memoised per top-level call.
+
+A node of one facet is a simplex.  A node of two facets F and G is answered
+in closed form, before any packing or memo entry: it is k-decomposable, for
+every k, iff F minus G or G minus F is a single vertex.  Proof: a face σ
+inside both facets does not shed, since F minus v for v in σ lies in G only
+if F minus G is empty.  A face σ in F alone sheds iff F minus v lies in G
+for each v in σ, that is, iff σ = F minus G is a single vertex v.  Then the
+deletion is G and the link is F minus v, both simplices.
 """
 
 from __future__ import annotations
@@ -106,6 +114,9 @@ def is_shedding_face(cplx: SimplicialComplex, face: Face) -> bool:
 def _decomposable(facets: Sequence[Face], k: int, memo: _Memo) -> bool:
     if len(facets) == 1:
         return True
+    if len(facets) == 2:  # the only shedding face is v with F - G = {v}
+        f, g = facets
+        return (f & ~g).bit_count() == 1 or (g & ~f).bit_count() == 1
     node = _packed(facets)
     cached = memo.get(node)
     if cached is None:

@@ -15,7 +15,6 @@ from .complexes import (
     VertexSet,
     _maximal,
     facet_permutation,
-    minimal_hitting_sets,
 )
 from .errors import VoidDual
 from .shelling import _sieve, _step, _walk
@@ -35,9 +34,7 @@ def minimal_nonfaces(cplx: SimplicialComplex) -> MonomialSet:
     order.  A set is a nonface exactly when it meets the complement of every
     facet, so these are the minimal transversals of the facet complements
     (:func:`~shellability.complexes.minimal_hitting_sets`)."""
-    full = cplx.vertices.full_face
-    gens = minimal_hitting_sets(full ^ f for f in cplx.facets)
-    return MonomialSet(cplx.vertices, tuple(gens))
+    return MonomialSet(cplx.vertices, cplx._minimal_nonfaces)
 
 
 def alexander_dual(cplx: SimplicialComplex) -> SimplicialComplex:
@@ -48,7 +45,7 @@ def alexander_dual(cplx: SimplicialComplex) -> SimplicialComplex:
     full = cplx.vertices.full_face
     if cplx.facets == (full,):
         raise VoidDual("the full simplex has a void dual")
-    return SimplicialComplex(cplx.vertices, [full ^ g for g in minimal_nonfaces(cplx).gens])
+    return SimplicialComplex(cplx.vertices, [full ^ g for g in cplx._minimal_nonfaces])
 
 
 def dual_ideal_generators(cplx: SimplicialComplex) -> MonomialSet:

@@ -174,12 +174,13 @@ class TestSheddingLists:
 
 class TestTraversal:
     @pytest.mark.parametrize(
-        "m, k, recursive, classes", [(7, 0, 1597, 285), (5, 1, 685, 123)]
+        "m, k, recursive, classes", [(7, 0, 1597, 284), (5, 1, 685, 122)]
     )
     def test_bowtie_work_counts(self, monkeypatch, m, k, recursive, classes):
         # a work count, not a time: the recursion's calls and the memo
         # classes it leaves pin the traversal (candidates in canonical face
-        # order, deletion before link, one memo entry per packed complex)
+        # order, deletion before link, one memo entry per packed complex
+        # of three or more facets)
         memos = []  # the memo each call was given
         recurse = decomposability._decomposable
 

@@ -16,9 +16,11 @@ from helpers import (
     brute_minimal_nonfaces,
     complexes,
     cx,
+    demo_complex,
     faces_of,
     label_sets,
     pure_complexes,
+    random_complex,
     random_pure_complex,
     vset,
     words,
@@ -31,14 +33,17 @@ from shellability import (
     VoidDual,
     alexander_dual,
     dual_ideal_generators,
+    f_vector,
     face_bits,
     from_facets,
     from_nonfaces,
+    h_vector,
     has_linear_quotients,
     linear_quotients_from_shelling,
     minimal_nonfaces,
     shelling_order,
 )
+from shellability import complexes as complexes_module
 
 
 class TestMinimalNonfaces:
@@ -124,6 +129,61 @@ class TestAlexanderDual:
         if c.kind is not Kind.PROPER or c.facets == (c.vertices.full_face,):
             return
         assert alexander_dual(alexander_dual(c)) == c
+
+
+def _dual_or_none(c):
+    try:
+        return alexander_dual(c)
+    except VoidDual:
+        return None
+
+
+def _cached_cases():
+    rng = random.Random(7171)
+    yield from_facets(vset("ab"), [0])  # irrelevant
+    yield from_facets(vset("abc"), [0b111])  # full simplex: void dual
+    for _ in range(30):
+        yield random_complex(rng)
+
+
+class TestCachedValues:
+    # the f-vector and the minimal nonfaces are kept on the complex
+
+    def test_invisible_after_every_read(self):
+        for c in _cached_cases():
+            seen = hash(c), repr(c)
+            for read in (f_vector, h_vector, minimal_nonfaces, _dual_or_none):
+                read(c)
+                assert c == from_facets(c.vertices, c.facets)
+                assert (hash(c), repr(c)) == seen
+
+    @pytest.mark.parametrize("first, second", [
+        (minimal_nonfaces, _dual_or_none), (_dual_or_none, minimal_nonfaces)
+    ])
+    def test_nonfaces_and_dual_in_either_order(self, first, second):
+        for c in _cached_cases():
+            got = first(c), second(c)
+            assert got == (
+                first(from_facets(c.vertices, c.facets)),
+                second(from_facets(c.vertices, c.facets)),
+            )
+
+    def test_each_computed_once(self, monkeypatch):
+        calls = []
+        kernel = complexes_module.minimal_hitting_sets
+
+        def counted(sets):
+            calls.append(1)
+            return kernel(sets)
+
+        monkeypatch.setattr(complexes_module, "minimal_hitting_sets", counted)
+        for reads in ((minimal_nonfaces, alexander_dual), (alexander_dual, minimal_nonfaces)):
+            calls.clear()
+            c = demo_complex()
+            for read in reads:
+                read(c)
+            assert len(calls) == 1
+            assert f_vector(c) is f_vector(c)
 
 
 class TestDualIdealGenerators:
