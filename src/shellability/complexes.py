@@ -267,9 +267,9 @@ def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
         cand &= ~branch
         for b in face_bits(branch):
             hit = holders[b]
-            kept = [c & ~hit for c in crit]
+            kept = [c ^ c & hit for c in crit]
             if all(kept):
-                mmcs(chosen | 1 << b, cand, unhit & ~hit, kept + [unhit & hit])
+                mmcs(chosen | 1 << b, cand, unhit ^ unhit & hit, kept + [unhit & hit])
             cand |= 1 << b
 
     mmcs(0, sum(1 << b for b, h in enumerate(holders) if h), (1 << len(family)) - 1, [])

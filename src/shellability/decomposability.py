@@ -77,7 +77,7 @@ class _Shedding:
             once = _sieve(holders, everyone ^ 1 << i, vs)
             rest = []
             for v in vs:
-                if once & ~holders[v]:
+                if once & holders[v] != once:
                     rest.append(1 << v)
                 else:
                     bad[v] |= 1 << i

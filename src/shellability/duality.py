@@ -101,7 +101,7 @@ def linear_quotients_from_shelling(
         once = _sieve(holders, placed, verts)
         keyed = []
         for v in verts:
-            missed = placed & ~holders[v]  # the earlier facets missing v
+            missed = placed ^ placed & holders[v]  # the earlier facets missing v
             alone = once & missed  # those missing v alone
             if alone:
                 keyed.append((missed & -missed, alone & -alone, labels[v]))

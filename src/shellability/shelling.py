@@ -1,19 +1,24 @@
 """Shelling orders: verification, restriction faces, and a backtracking search.
 
-Every caller uses one step test, :func:`_step`.  The facets placed so far are
-indices in a bitmask, and ``holders[v]`` is the bitmask of the placed facets
-that contain vertex v.  Facet F extends them when its restriction face, the
-set R of vertices x for which F minus x lies in a placed facet, lies in no
-placed facet itself; R is then the unique minimal face that F adds.  By
-Björner and Wachs (*Shellable nonpure complexes and posets I*, 1996) this
-form holds for pure and non-pure complexes alike.  A step costs O(|F|)
-bitmask operations, whatever the number of placed facets.
+Every caller uses one step test, :func:`_step`.  The facets are indices in
+a bitmask, ``holders[v]`` is the bitmask of all the facets that contain
+vertex v (:func:`~shellability.complexes._holders`), and the facets placed
+so far are a bitmask ``placed``.  Facet F extends them when its restriction
+face, the set R of vertices x for which F minus x lies in a placed facet,
+lies in no placed facet itself; R is then the unique minimal face that F
+adds.  By Björner and Wachs (*Shellable nonpure complexes and posets I*,
+1996) this form holds for pure and non-pure complexes alike.  A step costs
+O(|F|) bitmask operations, whatever the number of placed facets.
 
-A given order is read with one walk, :func:`_walk`, which hands each facet
-its ``holders`` and placed set; verification, restriction faces and (in
-:mod:`~shellability.duality`) linear quotients and the linear-quotient test
-all run on it, so each restriction face is computed one way.  The search
-keeps its own ``holders``, since it also takes facets back.
+The index is built once per facet sequence and never changed: a step reads
+it only inside ``placed``, through ANDs with subsets of ``placed``, and never
+inverts an entry, so each operation costs the length of the placed set, not
+of the whole index.  A given order is read with one walk, :func:`_walk`,
+which hands each facet the index and its placed set; verification,
+restriction faces and (in :mod:`~shellability.duality`) linear quotients and
+the linear-quotient test all run on it, so each restriction face is computed
+one way.  The search reads the same index under any placed set it reaches,
+so taking a facet back is clearing one bit of ``placed``.
 
 The search remembers the placed sets it has refuted.  The step test depends
 only on the *set* of earlier facets, and the facets tried next (the largest
@@ -34,6 +39,7 @@ from .complexes import (
     Face,
     HVector,
     SimplicialComplex,
+    _holders,
     face_bits,
     facet_permutation,
     minimal_hitting_sets,
@@ -58,13 +64,14 @@ class ShellingOrder:
 def _sieve(holders: list[int], among: int, verts: list[int]) -> int:
     """The facets in bitmask ``among`` that miss exactly one of the vertices
     ``verts``, where ``holders[v]`` is the bitmask of the facets holding
-    vertex v.  The vertices they miss form the restriction face of the facet
-    on ``verts`` against ``among``."""
+    vertex v, read only inside ``among``.  The vertices they miss form the
+    restriction face of the facet on ``verts`` against ``among``."""
     none, once = among, 0  # facets missing no vertex / one vertex so far
     for v in verts:
         h = holders[v]
-        once = once & h | none & ~h
-        none &= h
+        hit = none & h
+        once = once & h | none ^ hit
+        none = hit
     return once
 
 
@@ -72,15 +79,16 @@ def _step(holders: list[int], placed: int, verts: list[int]) -> Face | None:
     """Restriction face of the facet on vertices ``verts`` placed after the
     facets in bitmask ``placed``, or ``None`` when that step does not shell.
 
-    ``holders[v]`` is the bitmask of the placed facets that contain vertex v.
-    :func:`_sieve` finds the placed facets that miss exactly one vertex of
-    the facet; the vertices they miss form the restriction face R, and the
-    step shells iff no placed facet holds all of R."""
+    ``holders[v]`` is the bitmask of the facets that contain vertex v, read
+    only inside ``placed``.  :func:`_sieve` finds the placed facets that miss
+    exactly one vertex of the facet; the vertices they miss form the
+    restriction face R, and the step shells iff no placed facet holds all
+    of R."""
     once = _sieve(holders, placed, verts)
     rest, over = 0, placed  # over: the placed facets holding all of R so far
     for v in verts:
         h = holders[v]
-        if once & ~h:
+        if once & h != once:
             rest |= 1 << v
             over &= h
     return None if over else rest
@@ -88,17 +96,15 @@ def _step(holders: list[int], placed: int, verts: list[int]) -> Face | None:
 
 def _walk(seq: Sequence[Face], n: int):
     """Yield ``(holders, placed, verts)`` for each facet along ``seq`` (faces
-    over ``n`` vertices): ``placed`` is the bitmask of the facets before it,
-    ``holders[v]`` the bitmask of those holding vertex v, and ``verts`` the
-    facet's vertices, ready for :func:`_step` or :func:`_sieve`.  The walk
-    never stops itself and ``holders`` is updated in place, so read each step
-    before taking the next."""
-    holders = [0] * n
-    for i, facet in enumerate(seq):
-        verts = face_bits(facet)
-        yield holders, (1 << i) - 1, verts
-        for v in verts:
-            holders[v] |= 1 << i
+    over ``n`` vertices): ``holders[v]`` is the bitmask of the facets of
+    ``seq`` holding vertex v, one index for every step, ``placed`` the
+    bitmask of the facets before this one, and ``verts`` its vertices, ready
+    for :func:`_step` or :func:`_sieve`, which read the index only inside
+    ``placed``.  The walk never stops itself."""
+    verts = [face_bits(f) for f in seq]
+    holders = _holders(verts, n)
+    for i, vs in enumerate(verts):
+        yield holders, (1 << i) - 1, vs
 
 
 def is_shelling_order(cplx: SimplicialComplex, order: Sequence[Face]) -> bool:
@@ -184,17 +190,19 @@ def shelling_order(
     for i, vs in enumerate(verts):
         of_size[len(vs)] = of_size.get(len(vs), 0) | 1 << i
     levels = [of_size[z] for z in sorted(of_size, reverse=True)]
-    level = 0  # index into levels of the largest remaining size
-    holders = [0] * cplx.vertices.n
+    holders = _holders(verts, cplx.vertices.n)
     dead: set[int] = set()  # placed sets with no shelling completion
     placed = 0
     path: list[int] = []  # the depth-first path, as indices into arranged
     rests: list[Face] = []
     start = 0  # first index to try at the current depth
     while len(path) < n:
-        if not levels[level] & ~placed:
-            level += 1
-        cands = levels[level] & ~placed & -(1 << start)
+        free = ~placed
+        for cands in levels:  # the unplaced facets of the largest remaining size
+            cands &= free
+            if cands:
+                break
+        cands &= -(1 << start)
         while cands:
             low = cands & -cands
             cands ^= low
@@ -209,18 +217,11 @@ def shelling_order(
             if not path:
                 return None
             i = path.pop()
-            low = 1 << i
-            placed ^= low
-            for v in verts[i]:
-                holders[v] ^= low
+            placed ^= 1 << i
             rests.pop()
-            if not levels[level] & low:
-                level -= 1
             start = i + 1
             continue
         placed |= low
-        for v in verts[i]:
-            holders[v] |= low
         path.append(i)
         rests.append(rest)
         start = 0

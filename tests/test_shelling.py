@@ -11,7 +11,9 @@ from helpers import (
     O3,
     bowtie,
     brute_first_shelling,
+    brute_has_linear_quotients,
     brute_is_shelling_order,
+    brute_linear_quotients,
     brute_minimal_hitting_sets,
     brute_restriction_faces,
     brute_step_restriction,
@@ -26,13 +28,16 @@ from helpers import (
 )
 from shellability import (
     InvalidOrder,
+    MonomialSet,
     VertexSet,
     from_facets,
     h_from_shelling,
     h_vector,
+    has_linear_quotients,
     is_pure,
     is_shellable,
     is_shelling_order,
+    linear_quotients_from_shelling,
     minimal_hitting_sets,
     restriction_faces,
     serialize_complex,
@@ -272,6 +277,27 @@ class TestShellingOrderSearch:
                 for order in (list(c.facets), shuffled_facets(c, seed)):
                     self.assert_first_order(c, order)
 
+    def test_oracles_above_sixty_facets(self):
+        # the 2-skeleton of the 9-vertex simplex has 84 facets, so every
+        # placed set past 60 facets spans three 30-bit digits
+        vs = VertexSet(tuple("abcdefghi"))
+        c = from_facets(vs, [sum(1 << b for b in t) for t in combinations(range(9), 3)])
+        assert len(c.facets) == 84
+        full = vs.full_face
+        for order in [list(c.facets)] + [shuffled_facets(c, seed) for seed in range(3)]:
+            self.assert_first_order(c, order)
+            assert is_shelling_order(c, order) == brute_is_shelling_order(order)
+            found = list(shelling_order(c, order).facets)
+            assert restriction_faces(c, found) == brute_restriction_faces(found)
+            assert linear_quotients_from_shelling(c, found) == brute_linear_quotients(
+                c, found
+            )
+            for gens in (order, found):
+                complements = tuple(full ^ f for f in gens)
+                assert has_linear_quotients(
+                    MonomialSet(vs, complements)
+                ) == brute_has_linear_quotients(complements)
+
     @pytest.mark.parametrize("cap", [0, 1, None])
     def test_backtracking_orders_match_reference_dfs(self, monkeypatch, cap):
         # a triangle with a disjoint edge makes the search back up from the
@@ -293,7 +319,10 @@ class TestShellingOrderSearch:
 
     def test_bowtie_refutation_work(self, monkeypatch):
         # a work count, not a time: without the memo of refuted placed sets
-        # the search makes 228,696 step tests on bowtie m=12, with it 2,908
+        # the search makes 228,696 step tests on bowtie m=12, with it 2,908.
+        # The counts are exact, so a change to the order in which the search
+        # tries facets shows here; bowtie m=20 has 40 facets, so its placed
+        # sets span two 30-bit digits
         calls = 0
         step = shelling._step
 
@@ -303,8 +332,10 @@ class TestShellingOrderSearch:
             return step(*args)
 
         monkeypatch.setattr(shelling, "_step", counted)
-        assert shelling_order(bowtie(12)) is None
-        assert calls <= 5000
+        for m, tests in ((12, 2908), (20, 13380)):
+            calls = 0
+            assert shelling_order(bowtie(m)) is None
+            assert calls == tests
 
     @settings(max_examples=60)
     @given(complexes())
