@@ -186,8 +186,7 @@ def _complex_text(cplx, fields) -> list[str]:
 
 
 def _nonfaces_text(cplx, fields) -> list[str]:
-    gens = [cplx.vertices.face(f) for f in fields["minimal_nonfaces"]]
-    return serialize_nonfaces(cplx, gens).splitlines()
+    return serialize_nonfaces(cplx, minimal_nonfaces(cplx).gens).splitlines()
 
 
 @dataclass(frozen=True)

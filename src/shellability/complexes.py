@@ -230,8 +230,11 @@ def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
     canonical face order.
 
     This is MMCS (Murakami and Uno, *Efficient algorithms for dualizing
-    large-scale hypergraphs*, 2014).  It branches on the unhit member with the
-    fewest candidate vertices.  A chosen vertex is kept only while some
+    large-scale hypergraphs*, 2014).  It sorts the family by size once and
+    branches on the first unhit member in that order.  Branching on any unhit
+    member gives the same transversals; the size order puts small members,
+    which branch least, first, so the cost does not hang on the order the
+    caller lists the members in.  A chosen vertex is kept only while some
     member is hit by it alone (its critical member), so every transversal it
     reaches is minimal.  The vertices of the branched member leave the
     candidates and each comes back only after its own subtree, so each
@@ -241,7 +244,7 @@ def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
     The empty family has the single minimal transversal 0; a family holding
     the empty set has none.
     """
-    family = list(sets)
+    family = sorted(sets, key=int.bit_count)
     holders = _holders(map(face_bits, family), max(family, default=0).bit_length())
     found: list[int] = []
 
@@ -250,20 +253,7 @@ def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
         if not unhit:
             found.append(chosen)
             return
-        # bit i of planes[p] is bit p of unhit member i's candidate count
-        planes: list[int] = []
-        for b in face_bits(cand):
-            carry = holders[b] & unhit
-            for p, plane in enumerate(planes):
-                planes[p] = plane ^ carry
-                carry &= plane
-            if carry:
-                planes.append(carry)
-        fewest = unhit
-        for plane in reversed(planes):
-            if fewest & ~plane:
-                fewest &= ~plane
-        branch = cand & family[(fewest & -fewest).bit_length() - 1]
+        branch = cand & family[(unhit & -unhit).bit_length() - 1]
         cand &= ~branch
         for b in face_bits(branch):
             hit = holders[b]
