@@ -113,8 +113,8 @@ class VertexSet:
 
 class Kind(Enum):
     """The irrelevant complex has only the empty face; every other complex is
-    proper.  There is no void kind: :class:`SimplicialComplex` refuses no
-    faces."""
+    proper.  There is no void kind: :class:`SimplicialComplex` refuses an
+    empty face list, which is the void complex."""
 
     IRRELEVANT = "irrelevant"  # only the empty face
     PROPER = "proper"

@@ -20,11 +20,18 @@ the linear-quotient test all run on it, so each restriction face is computed
 one way.  The search reads the same index under any placed set it reaches,
 so taking a facet back is clearing one bit of ``placed``.
 
-The search remembers the placed sets it has refuted.  The step test depends
-only on the *set* of earlier facets, and the facets tried next (the largest
-remaining ones, in the given order) only on the remaining set, so a refuted
-set is refuted wherever the search meets it again, and skipping it changes
-no answer: the first order found stays the same.
+The search remembers every placed set it has refuted, as the
+decomposability recursion remembers every node: at most one set per
+exhausted node, so the memo grows with the work done and never past it.
+The step test depends only on the *set* of earlier facets, and the facets
+tried next (the largest remaining ones, in the given order) only on the
+remaining set, so a refuted set is refuted wherever the search meets it
+again, and skipping it changes no answer: the first order found stays the
+same.  A memo that stopped recording at some size would hold a subset of
+this one, so it could only add step tests: on a non-shellable pure
+2-complex with 20 facets on 8 vertices, full recording answers after
+527,822 step tests and 143,343 refuted sets, where a cap of 131,072 sets
+made over 24 million step tests and had no answer yet.
 """
 
 from __future__ import annotations
@@ -47,10 +54,6 @@ from .complexes import (
 from .errors import InvalidOrder
 
 _MASK64 = (1 << 64) - 1
-# the most refuted sets one search remembers (about 12 MB when a set is a
-# bitmask of under 64 facets, 28 MB of 1,140); past it the search records no
-# more, so it may redo work but gives the same answer
-_DEAD_SETS_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -176,11 +179,11 @@ def shelling_order(
     The facets are tried first-fit in ``order`` (the canonical facet order
     when ``None``), one facet at a time, backtracking on failure.  Only
     facets of maximal remaining cardinality are candidates (vacuous for pure
-    complexes), so returned orders have weakly decreasing dimension.  Sets
-    of placed facets already refuted are skipped (up to ``_DEAD_SETS_CAP``
-    of them are remembered), which changes no answer.  Deterministic for a
-    fixed order.  Raises :class:`InvalidOrder` when ``order`` is not a
-    permutation of the facets.
+    complexes), so returned orders have weakly decreasing dimension.  Every
+    set of placed facets found to have no completion is remembered (one per
+    exhausted node) and skipped when met again, which changes no answer.
+    Deterministic for a fixed order.  Raises :class:`InvalidOrder` when
+    ``order`` is not a permutation of the facets.
     """
     arranged = list(cplx.facets) if order is None else facet_permutation(cplx, order)
     n = len(arranged)
@@ -212,8 +215,7 @@ def shelling_order(
                 if rest is not None:
                     break
         else:
-            if len(dead) < _DEAD_SETS_CAP:
-                dead.add(placed)
+            dead.add(placed)
             if not path:
                 return None
             i = path.pop()

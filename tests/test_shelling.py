@@ -266,17 +266,6 @@ class TestShellingOrderSearch:
         for order in (list(c.facets), shuffled_facets(c, seed)):
             self.assert_first_order(c, order)
 
-    @settings(max_examples=60)
-    @given(st.one_of(complexes(), pure_complexes()), st.integers(0, 2**32))
-    def test_full_memo_keeps_the_first_order(self, c, seed):
-        # a memo with no room (or room for one refuted set) stops recording
-        # at once, and the search must still meet the same first order
-        for cap in (0, 1):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(shelling, "_DEAD_SETS_CAP", cap)
-                for order in (list(c.facets), shuffled_facets(c, seed)):
-                    self.assert_first_order(c, order)
-
     def test_oracles_above_sixty_facets(self):
         # the 2-skeleton of the 9-vertex simplex has 84 facets, so every
         # placed set past 60 facets spans three 30-bit digits
@@ -298,15 +287,12 @@ class TestShellingOrderSearch:
                     MonomialSet(vs, complements)
                 ) == brute_has_linear_quotients(complements)
 
-    @pytest.mark.parametrize("cap", [0, 1, None])
-    def test_backtracking_orders_match_reference_dfs(self, monkeypatch, cap):
+    def test_backtracking_orders_match_reference_dfs(self):
         # a triangle with a disjoint edge makes the search back up from the
         # edges into the triangles; bowties are refuted only after many
         # backtracks; each NON_EXTENDABLE complex has a partial shelling that
         # no facet extends, so a first-fit search over some of these orders
-        # backtracks before it succeeds.  cap None keeps the memo's bound
-        if cap is not None:
-            monkeypatch.setattr(shelling, "_DEAD_SETS_CAP", cap)
+        # backtracks before it succeeds
         c = cx("abcde", "abc de")
         self.assert_first_order(c, list(c.facets))
         for m in range(3, 7):
@@ -317,25 +303,44 @@ class TestShellingOrderSearch:
             for seed in range(50):
                 self.assert_first_order(c, shuffled_facets(c, seed))
 
-    def test_bowtie_refutation_work(self, monkeypatch):
-        # a work count, not a time: without the memo of refuted placed sets
-        # the search makes 228,696 step tests on bowtie m=12, with it 2,908.
-        # The counts are exact, so a change to the order in which the search
-        # tries facets shows here; bowtie m=20 has 40 facets, so its placed
-        # sets span two 30-bit digits
+    @staticmethod
+    def refutation_work(c, order=None):
+        # the step tests the search makes to refute c, counted by wrapping
+        # shelling._step; past 600,000 it raises, so a search that loses its
+        # memo fails in seconds instead of hanging
         calls = 0
         step = shelling._step
 
         def counted(*args):
             nonlocal calls
             calls += 1
+            if calls > 600_000:
+                raise AssertionError("over 600,000 step tests")
             return step(*args)
 
-        monkeypatch.setattr(shelling, "_step", counted)
-        for m, tests in ((12, 2908), (20, 13380)):
-            calls = 0
-            assert shelling_order(bowtie(m)) is None
-            assert calls == tests
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shelling, "_step", counted)
+            assert shelling_order(c, order) is None
+        return calls
+
+    def test_bowtie_refutation_work(self):
+        # a work count, not a time: without the memo of refuted placed sets
+        # the search makes 228,696 step tests on bowtie m=12, with it 2,908.
+        # The counts are exact, so a change to the order in which the search
+        # tries facets shows here; bowtie m=20 has 40 facets, so its placed
+        # sets span two 30-bit digits
+        assert self.refutation_work(bowtie(12)) == 2908
+        assert self.refutation_work(bowtie(20)) == 13380
+
+    def test_twenty_facet_refutation_work(self):
+        # a non-shellable pure 2-complex on 8 vertices whose refutation
+        # needs 143,343 refuted placed sets; a memo that stopped recording
+        # at 131,072 made over 24 million step tests without an answer
+        facets = [19, 41, 49, 50, 56, 67, 70, 73, 81, 82, 84, 88, 97, 112, 137,
+                  138, 168, 200, 208, 224]
+        c = from_facets(VertexSet(tuple("abcdefgh")), facets)
+        for order in (None, shuffled_facets(c, 0)):
+            assert self.refutation_work(c, order) == 527_822
 
     @settings(max_examples=60)
     @given(complexes())
