@@ -287,17 +287,22 @@ class TestShellingOrderSearch:
                     MonomialSet(vs, complements)
                 ) == brute_has_linear_quotients(complements)
 
-    def test_backtracking_orders_match_reference_dfs(self):
+    @pytest.mark.parametrize("seed", [0, 1, None])
+    def test_backtracking_orders_match_reference_dfs(self, seed):
         # a triangle with a disjoint edge makes the search back up from the
         # edges into the triangles; bowties are refuted only after many
         # backtracks; each NON_EXTENDABLE complex has a partial shelling that
         # no facet extends, so a first-fit search over some of these orders
-        # backtracks before it succeeds
+        # backtracks before it succeeds.  seed None tries the first two
+        # kinds in their own facet order, a seed in that shuffle of it
+        def order(c):
+            return list(c.facets) if seed is None else shuffled_facets(c, seed)
+
         c = cx("abcde", "abc de")
-        self.assert_first_order(c, list(c.facets))
+        self.assert_first_order(c, order(c))
         for m in range(3, 7):
             c = bowtie(m)
-            self.assert_first_order(c, list(c.facets))
+            self.assert_first_order(c, order(c))
         for facets in NON_EXTENDABLE:
             c = cx("abcdef", facets)
             for seed in range(50):
