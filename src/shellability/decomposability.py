@@ -29,6 +29,26 @@ inside both facets does not shed, since F minus v for v in σ lies in G only
 if F minus G is empty.  A face σ in F alone sheds iff F minus v lies in G
 for each v in σ, that is, iff σ = F minus G is a single vertex v.  Then the
 deletion is G and the link is F minus v, both simplices.
+
+A node of dimension at most 1, a graph and maybe some isolated points, is
+answered in closed form as well, with no memo entry: it is k-decomposable,
+for every k, iff its edges form one connected graph (no edges count as
+one).  Canonical order puts the largest facet first, so the first facet
+tells such a node.  Proof, by induction on the facets: an isolated vertex
+sheds, its link is {∅}, and its deletion keeps the edges.  In a connected
+graph of two or more edges, a leaf v of a spanning tree sheds, since none
+of v's neighbours is a leaf of the graph; the deletion stays connected, and
+the link is a set of points.  Conversely a k-decomposable complex is
+shellable, and the pure 1-skeleton of a shellable complex is shellable
+(Björner and Wachs 1996), so its edges are connected.
+
+A d-dimensional complex is k-decomposable for some k ≥ d iff it is
+shellable: every face is then a candidate, and d-decomposability is
+shellability (Provan and Billera, 1980, for pure complexes; Björner and
+Wachs, *Shellable nonpure complexes and posets II*, 1997, Section 11, for
+nonpure ones).  So :func:`is_k_decomposable` hands a top-level call with
+k ≥ d ≥ 2 to the shelling search, whose memo of refuted placed sets keeps
+it far cheaper than this recursion.
 """
 
 from __future__ import annotations
@@ -38,7 +58,7 @@ from typing import Iterator, Sequence
 
 from .complexes import Face, SimplicialComplex, _holders, face_bits
 from .face_ops import _check_deletable
-from .shelling import _sieve
+from .shelling import _sieve, is_shellable
 
 _Memo = dict[tuple[Face, ...], bool]
 
@@ -117,6 +137,8 @@ def _decomposable(facets: Sequence[Face], k: int, memo: _Memo) -> bool:
     if len(facets) == 2:  # the only shedding face is v with F - G = {v}
         f, g = facets
         return (f & ~g).bit_count() == 1 or (g & ~f).bit_count() == 1
+    if facets[0].bit_count() <= 2:  # a graph: decomposable iff connected
+        return _connected([f for f in facets if f.bit_count() == 2])
     node = _packed(facets)
     cached = memo.get(node)
     if cached is None:
@@ -124,6 +146,22 @@ def _decomposable(facets: Sequence[Face], k: int, memo: _Memo) -> bool:
             _decomposes_at(node, face, k, memo) for face in _Shedding(node).faces(k)
         )
     return cached
+
+
+def _connected(edges: Sequence[Face]) -> bool:
+    """Whether the edges form one connected graph; no edges count as one."""
+    reach, rest = (edges[0] if edges else 0), edges[1:]
+    while rest:
+        far = []
+        for e in rest:
+            if e & reach:
+                reach |= e
+            else:
+                far.append(e)
+        if len(far) == len(rest):
+            return False
+        rest = far
+    return True
 
 
 def _decomposes_at(facets: Sequence[Face], face: Face, k: int, memo: _Memo) -> bool:
@@ -150,9 +188,15 @@ def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
 
 def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
     """Decomposability by shedding faces of dimension at most ``k``; k = 0 is
-    vertex-decomposability."""
+    vertex-decomposability.  For k at least the dimension d this is
+    shellability (Provan and Billera for pure complexes, Björner and Wachs
+    for nonpure ones), so the shelling search answers when d ≥ 2; a
+    complex of dimension at most 1 is k-decomposable iff its edges form one
+    connected graph."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    if k >= cplx.dimension() >= 2:
+        return is_shellable(cplx)
     return _decomposable(cplx.facets, k, {})
 
 

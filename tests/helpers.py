@@ -12,8 +12,10 @@ filtering, no memo).
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from itertools import combinations
 
+import pytest
 from hypothesis import strategies as st
 
 from shellability import (
@@ -81,6 +83,41 @@ def two_large_facets() -> SimplicialComplex:
     subsets per facet to list them all."""
     vs = VertexSet(tuple(f"v{i}" for i in range(41)))
     return from_facets(vs, [(1 << 40) - 1, ((1 << 41) - 1) ^ 1])
+
+
+def twenty_facets() -> SimplicialComplex:
+    """A pure 2-complex on 8 vertices that is not shellable; refuting it
+    takes the shelling search 527,822 step tests and 143,343 refuted sets."""
+    facets = [19, 41, 49, 50, 56, 67, 70, 73, 81, 82, 84, 88, 97, 112, 137,
+              138, 168, 200, 208, 224]
+    return from_facets(VertexSet(tuple("abcdefgh")), facets)
+
+
+def graph(n: int, edges) -> SimplicialComplex:
+    """The graph on v0..v(n-1) with the given (i, j) edges."""
+    vs = VertexSet(tuple(f"v{i}" for i in range(n)))
+    return from_facets(vs, [1 << i | 1 << j for i, j in edges])
+
+
+# --- work counts ----------------------------------------------------------
+
+@contextmanager
+def counted_calls(module, name: str, limit: int):
+    """Count the calls to ``module.name`` inside the block, in the yielded
+    one-item list.  Past ``limit`` calls it raises, so a search that loses
+    its memo or a shortcut fails in seconds instead of hanging."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise AssertionError(f"over {limit:,} calls to {name}")
+        return inner(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, counted)
+        yield calls
 
 
 # --- deterministic random generators -------------------------------------

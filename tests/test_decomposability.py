@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,18 @@ from helpers import (
     brute_shedding_faces,
     brute_shedding_vertices,
     complexes,
+    counted_calls,
     cx,
     fc,
+    graph,
     random_complex,
     random_pure_complex,
+    twenty_facets,
     two_large_facets,
     vset,
     words,
 )
-from shellability import decomposability
+from shellability import decomposability, shelling
 from shellability import (
     EmptyFace,
     NotAFace,
@@ -212,6 +217,79 @@ class TestTwoFacets:
                 cases += 1
             assert is_vertex_decomposable(c) == rule
         assert cases == 1110
+
+
+def _one_component(edges) -> bool:
+    # the oracle: each edge merges the components it touches
+    parts: list[int] = []
+    for e in edges:
+        merged = e
+        for p in parts:
+            if p & e:
+                merged |= p
+        parts = [p for p in parts if not p & e] + [merged]
+    return len(parts) <= 1
+
+
+class TestGraphs:
+    def test_closed_form_against_brute_force(self):
+        # every complex of dimension <= 1 on five vertices (an edge set and
+        # some points outside it), every k up to 2: k-decomposable iff the
+        # edges form one connected graph (no edges counting as one)
+        vs = vset("abcde")
+        pairs = [1 << a | 1 << b for a, b in combinations(range(vs.n), 2)]
+        cases = 0
+        for chosen in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if chosen >> i & 1]
+            covered = reduce(or_, edges, 0)
+            free = [1 << v for v in range(vs.n) if not covered >> v & 1]
+            rule = _one_component(edges)
+            for r in range(len(free) + 1):
+                for points in combinations(free, r):
+                    if not edges and not points:
+                        continue
+                    c = from_facets(vs, edges + list(points))
+                    for k in range(3):
+                        assert brute_is_k_decomposable(c, k) == rule
+                        assert is_k_decomposable(c, k) == rule
+                        cases += 1
+                    assert shedding_vertices(c) == brute_shedding_vertices(c)
+        assert cases == 4347
+
+    def test_work_counts(self):
+        # a work count, not a time: a graph node builds no shedding index,
+        # so VD on a path takes none and shedding_vertices on a cycle only
+        # the root's; the exhaustive recursion built 8,326 on this path and
+        # did not finish on the cycle
+        n = 22  # vertex 0 sits mid-path
+        path = graph(n, [((p - n // 2) % n, (p + 1 - n // 2) % n) for p in range(n - 1)])
+        with counted_calls(decomposability, "_Shedding", 10) as builds:
+            assert is_vertex_decomposable(path)
+        assert builds[0] == 0
+        cycle = graph(64, [(i, (i + 1) % 64) for i in range(64)])
+        with counted_calls(decomposability, "_Shedding", 10) as builds:
+            assert shedding_vertices(cycle) == [1 << i for i in range(64)]
+        assert builds[0] == 1
+
+
+class TestHandOff:
+    def test_top_dimension_is_shellability(self):
+        # k >= dim: k-decomposable iff shellable, pure or not
+        rng = random.Random(3)
+        for i in range(1500):
+            c = (random_pure_complex if i % 2 else random_complex)(rng, max_vertices=6)
+            shellable = is_shellable(c)
+            for k in (c.dimension(), c.dimension() + 1):
+                assert is_k_decomposable(c, k) == shellable == brute_is_k_decomposable(c, k)
+
+    def test_twenty_facet_complex(self):
+        # the recursion took about a minute here; the shelling search makes
+        # exactly the step tests of its own refutation
+        with counted_calls(decomposability, "_decomposable", 0), counted_calls(
+            shelling, "_step", 600_000
+        ) as steps:
+            assert not is_k_decomposable(twenty_facets(), 2)
+        assert steps[0] == 527_822
 
 
 class TestAgainstBruteForce:

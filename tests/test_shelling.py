@@ -18,11 +18,13 @@ from helpers import (
     brute_restriction_faces,
     brute_step_restriction,
     complexes,
+    counted_calls,
     cx,
     faces_of,
     pure_complexes,
     random_complex,
     random_pure_complex,
+    twenty_facets,
     vset,
     words,
 )
@@ -310,23 +312,10 @@ class TestShellingOrderSearch:
 
     @staticmethod
     def refutation_work(c, order=None):
-        # the step tests the search makes to refute c, counted by wrapping
-        # shelling._step; past 600,000 it raises, so a search that loses its
-        # memo fails in seconds instead of hanging
-        calls = 0
-        step = shelling._step
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            if calls > 600_000:
-                raise AssertionError("over 600,000 step tests")
-            return step(*args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(shelling, "_step", counted)
+        # the step tests the search makes to refute c
+        with counted_calls(shelling, "_step", 600_000) as calls:
             assert shelling_order(c, order) is None
-        return calls
+        return calls[0]
 
     def test_bowtie_refutation_work(self):
         # a work count, not a time: without the memo of refuted placed sets
@@ -341,9 +330,7 @@ class TestShellingOrderSearch:
         # a non-shellable pure 2-complex on 8 vertices whose refutation
         # needs 143,343 refuted placed sets; a memo that stopped recording
         # at 131,072 made over 24 million step tests without an answer
-        facets = [19, 41, 49, 50, 56, 67, 70, 73, 81, 82, 84, 88, 97, 112, 137,
-                  138, 168, 200, 208, 224]
-        c = from_facets(VertexSet(tuple("abcdefgh")), facets)
+        c = twenty_facets()
         for order in (None, shuffled_facets(c, 0)):
             assert self.refutation_work(c, order) == 527_822
 
