@@ -40,9 +40,10 @@ def face_bits(face: Face) -> list[int]:
 
 
 def _holders(vertex_lists: Iterable[list[int]], n: int) -> list[int]:
-    """The per-vertex incidence index of a family given by its members'
-    vertex lists (over ``n`` vertices): entry v is the bitmask of the
-    positions in the family whose members hold vertex v."""
+    """The positional bitmask index of a family given by its members' key
+    lists, keys in 0..n-1: entry v is the bitmask of the positions in the
+    family whose members hold key v.  The keys are vertices for an incidence
+    index, or any small key, such as each member's size."""
     holders = [0] * n
     for i, verts in enumerate(vertex_lists):
         for v in verts:
@@ -189,21 +190,23 @@ def _maximal(faces: Iterable[Face], n: int) -> list[Face]:
 
     One pass over the distinct faces, largest first: a face can only lie in
     a larger kept face, so the faces of the top size (every face of a pure
-    input) are kept untested.  When the size drops, the faces kept since the
-    last drop are added to per-vertex bitmasks of the kept faces, so testing
-    a face costs |F| ANDs of those, not a pass over the kept faces."""
+    input) are kept untested.  When the size drops, :func:`_holders` indexes
+    the faces kept since the last drop, and that batch, shifted to their
+    positions, joins the per-vertex bitmasks of the kept faces, so testing a
+    face costs |F| ANDs of those, not a pass over the kept faces.  Shifting
+    the batch in, rather than indexing every kept face again at each drop,
+    keeps each kept face indexed once."""
     pool = sorted(set(faces))
     if pool and (pool[0] < 0 or pool[-1] >> n):  # sorted by value: the ends bound every face
         raise InvalidVertex(f"face uses vertex positions outside 0..{n - 1}")
     pool.sort(key=int.bit_count, reverse=True)  # stable, so ties keep bit order
     out: list[Face] = []
-    holders = [0] * n  # entry v: the bitmask of the positions in out[:larger] holding v
+    holders: list[int] = []  # entry v: bitmask of the positions in out[:larger] holding v
     larger = 0  # out[:larger] are the kept faces larger than this one
     for face in pool:
         if len(out) > larger and face.bit_count() < out[-1].bit_count():
-            for i in range(larger, len(out)):
-                for v in face_bits(out[i]):
-                    holders[v] |= 1 << i
+            batch = _holders(map(face_bits, out[larger:]), n)
+            holders = [h | b << larger for h, b in zip(holders, batch)] if larger else batch
             larger = len(out)
         over = (1 << larger) - 1  # the larger kept faces holding this one's vertices so far
         if over:

@@ -91,6 +91,8 @@ class _Shedding:
         verts = [face_bits(f) for f in facets]
         self.holders = holders = _holders(verts, n)
         everyone = (1 << len(facets)) - 1
+        # bad is written in the same pass that finds each facet's restriction
+        # face; building it with _holders would take a second pass
         self.bad = bad = [0] * n
         self.rests: list[list[Face]] = []
         for i, vs in enumerate(verts):

@@ -111,28 +111,21 @@ def parse_complex_with_order(text: str) -> tuple[SimplicialComplex, tuple[Face, 
 
     kind, payload, body_line, offset = body
     segments = _parse_tokens(payload, body_line, offset)
-    if kind == "facets":
-        if vertex_labels is None:
-            vertex_labels = []
-            seen: set[str] = set()
-            for segment in segments:
-                for token, _ in segment:
-                    if token != EMPTY_FACE_TOKEN and token not in seen:
-                        seen.add(token)
-                        vertex_labels.append(token)
-            vertex_line = body_line
-        vset = _vertex_set(vertex_labels, vertex_line)
-        faces = [_face_from_segment(vset, s, body_line) for s in segments]
-        cplx = complexes.from_facets(vset, faces)
-        surviving = set(cplx.facets)
-        return cplx, tuple(dict.fromkeys(f for f in faces if f in surviving))
-
     if vertex_labels is None:
-        raise ParseError("nonface input requires a 'vertices:' line", body_line, 1)
+        if kind == "nonfaces":
+            raise ParseError("nonface input requires a 'vertices:' line", body_line, 1)
+        # the labels in first-occurrence order
+        tokens = (token for segment in segments for token, _ in segment)
+        vertex_labels = list(dict.fromkeys(t for t in tokens if t != EMPTY_FACE_TOKEN))
+        vertex_line = body_line
     vset = _vertex_set(vertex_labels, vertex_line)
-    nonfaces = [_face_from_segment(vset, s, body_line) for s in segments]
-    cplx = complexes.from_nonfaces(vset, nonfaces)
-    return cplx, cplx.facets
+    faces = [_face_from_segment(vset, s, body_line) for s in segments]
+    if kind == "nonfaces":
+        cplx = complexes.from_nonfaces(vset, faces)
+        return cplx, cplx.facets
+    cplx = complexes.from_facets(vset, faces)
+    surviving = set(cplx.facets)
+    return cplx, tuple(dict.fromkeys(f for f in faces if f in surviving))
 
 
 def parse_complex(text: str) -> SimplicialComplex:

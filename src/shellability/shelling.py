@@ -18,7 +18,8 @@ which hands each facet the index and its placed set; verification,
 restriction faces and (in :mod:`~shellability.duality`) linear quotients and
 the linear-quotient test all run on it, so each restriction face is computed
 one way.  The search reads the same index under any placed set it reaches,
-so taking a facet back is clearing one bit of ``placed``.
+so taking a facet back is clearing one bit of ``placed``; its candidates
+come from a second index built the same way, keyed by facet size.
 
 The search remembers every placed set it has refuted, as the
 decomposability recursion remembers every node: at most one set per
@@ -189,10 +190,8 @@ def shelling_order(
     n = len(arranged)
     verts = [face_bits(f) for f in arranged]
     # bitmasks of the facet indices of each size, largest size first
-    of_size: dict[int, int] = {}
-    for i, vs in enumerate(verts):
-        of_size[len(vs)] = of_size.get(len(vs), 0) | 1 << i
-    levels = [of_size[z] for z in sorted(of_size, reverse=True)]
+    by_size = _holders([[len(vs)] for vs in verts], cplx.vertices.n + 1)
+    levels = [m for m in reversed(by_size) if m]
     holders = _holders(verts, cplx.vertices.n)
     dead: set[int] = set()  # placed sets with no shelling completion
     placed = 0

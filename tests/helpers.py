@@ -300,27 +300,28 @@ def brute_linear_quotients(cplx: SimplicialComplex, order) -> list[tuple[str, ..
     return steps
 
 
-def brute_sheds(faces: set[Face], sigma: Face) -> bool:
+def brute_sheds(faces: set[Face], facets: set[Face], sigma: Face) -> bool:
     """Every maximal face of the deletion (the faces not containing
-    ``sigma``) is a maximal face of the complex."""
+    ``sigma``) is one of ``facets``, the maximal faces of ``faces``."""
     deletion = {t for t in faces if sigma & ~t}
-    return brute_maximal(deletion) <= brute_maximal(faces)
+    return brute_maximal(deletion) <= facets
 
 
-def _brute_decomposes_at(faces: set[Face], sigma: Face, k: int) -> bool:
+def _brute_decomposes_at(faces: set[Face], facets: set[Face], sigma: Face, k: int) -> bool:
     link = {t for t in faces if t & sigma == 0 and t | sigma in faces}
     return (
-        brute_sheds(faces, sigma)
+        brute_sheds(faces, facets, sigma)
         and _brute_decomposable({t for t in faces if sigma & ~t}, k)
         and _brute_decomposable(link, k)
     )
 
 
 def _brute_decomposable(faces: set[Face], k: int) -> bool:
-    if len(brute_maximal(faces)) == 1:
+    facets = brute_maximal(faces)
+    if len(facets) == 1:
         return True
     return any(
-        _brute_decomposes_at(faces, sigma, k)
+        _brute_decomposes_at(faces, facets, sigma, k)
         for sigma in faces
         if 0 < sigma.bit_count() <= k + 1
     )
@@ -335,14 +336,16 @@ def brute_is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
 
 def brute_shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
     faces = brute_face_set(cplx)
+    facets = brute_maximal(faces)
     return sorted(
-        (s for s in faces if 0 < s.bit_count() <= k + 1 and brute_sheds(faces, s)),
+        (s for s in faces if 0 < s.bit_count() <= k + 1 and brute_sheds(faces, facets, s)),
         key=lambda s: (s.bit_count(), s),
     )
 
 
 def brute_shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
     faces = brute_face_set(cplx)
+    facets = brute_maximal(faces)
     return sorted(
-        s for s in faces if s.bit_count() == 1 and _brute_decomposes_at(faces, s, 0)
+        s for s in faces if s.bit_count() == 1 and _brute_decomposes_at(faces, facets, s, 0)
     )

@@ -194,6 +194,21 @@ class TestFromFacets:
                      for _ in range(15)]
             expected = sorted(brute_maximal(pool), key=lambda f: (-f.bit_count(), f))
             assert SimplicialComplex(vs, pool).facets == tuple(expected)
+        # masks wider than a machine word: 40 random faces of each of sizes
+        # 6, 5 and 4 on 64 vertices, which are all kept, then proper subsets
+        # of 90 of them (many lie only in kept faces at positions past 64)
+        # and 30 random faces of one to three vertices, some inside a kept
+        # face and some outside them all
+        vs = VertexSet(tuple(f"v{i}" for i in range(64)))
+        tops = [sum(1 << b for b in rng.sample(range(64), size))
+                for size in (6, 5, 4) for _ in range(40)]
+        pool = tops + [sum(1 << b for b in rng.sample(face_bits(f), f.bit_count() - 1))
+                       for f in rng.sample(tops, 90)]
+        pool += [sum(1 << b for b in rng.sample(range(64), rng.randint(1, 3)))
+                 for _ in range(30)]
+        expected = sorted(brute_maximal(pool), key=lambda f: (-f.bit_count(), f))
+        assert len(expected) > 64 and {f.bit_count() for f in expected} >= {4, 5, 6}
+        assert SimplicialComplex(vs, pool).facets == tuple(expected)
 
 
 class TestFromNonfaces:
