@@ -46,8 +46,9 @@ def _holders(vertex_lists: Iterable[list[int]], n: int) -> list[int]:
     index, or any small key, such as each member's size."""
     holders = [0] * n
     for i, verts in enumerate(vertex_lists):
+        bit = 1 << i  # an i-bit int: shifting per key would cost as much as the OR
         for v in verts:
-            holders[v] |= 1 << i
+            holders[v] |= bit
     return holders
 
 

@@ -9,15 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .complexes import (
-    Face,
-    SimplicialComplex,
-    VertexSet,
-    _maximal,
-    facet_permutation,
-)
+from .complexes import Face, SimplicialComplex, VertexSet
 from .errors import VoidDual
-from .shelling import _sieve, _step, _walk
+from .shelling import _sieve, _walk, is_shelling_order
 
 
 @dataclass(frozen=True)
@@ -56,28 +50,29 @@ def dual_ideal_generators(cplx: SimplicialComplex) -> MonomialSet:
     return MonomialSet(cplx.vertices, tuple(full ^ f for f in cplx.facets))
 
 
-def _check_generators(gens: tuple[Face, ...], ground: VertexSet) -> None:
-    if any(g & ~ground.full_face for g in gens):
-        raise ValueError("generators must lie in the ground set")
-    # a repeated generator, or one under another, is not maximal among them
-    if len(_maximal(gens, ground.n)) != len(gens):
-        raise ValueError("generators must be pairwise incomparable")
-
-
 def has_linear_quotients(mset: MonomialSet) -> bool:
     """True when every successive colon ideal is generated by single vertices:
     for each generator, the minimal support differences against all earlier
     generators must all be singletons.
 
     With C the complement of each generator in the ground set, g_j minus g_i
-    equals C(g_i) minus C(g_j), so this is the shelling step test on the
-    complements.  An empty set is the zero ideal, which has linear quotients
+    equals C(g_i) minus C(g_j), so this is :func:`is_shelling_order` on the
+    complements, in the generators' order, as facets of a complex over the
+    ground set.  Complementing reverses inclusion, so the generators are
+    pairwise incomparable exactly when the complex keeps every complement as
+    a facet.  An empty set is the zero ideal, which has linear quotients
     (there is no colon ideal to test)."""
-    gens = mset.gens
     full = mset.ground.full_face
-    _check_generators(gens, mset.ground)
-    complements = [full ^ g for g in gens]
-    return all(_step(*step) is not None for step in _walk(complements, mset.ground.n))
+    if any(g & ~full for g in mset.gens):
+        raise ValueError("generators must lie in the ground set")
+    if not mset.gens:
+        return True
+    complements = [full ^ g for g in mset.gens]
+    cplx = SimplicialComplex(mset.ground, complements)
+    # the constructor keeps a repeated complement once and drops one inside another
+    if len(cplx.facets) != len(complements):
+        raise ValueError("generators must be pairwise incomparable")
+    return is_shelling_order(cplx, complements)
 
 
 def linear_quotients_from_shelling(
@@ -94,14 +89,13 @@ def linear_quotients_from_shelling(
     each key is the lowest bit of a bitmask of earlier facets.  A step costs
     O(|F|) bitmask operations, whatever the number of earlier facets.
     """
-    seq = facet_permutation(cplx, order)
     labels = cplx.vertices.labels
     steps: list[tuple[str, ...]] = []
-    for holders, placed, verts in islice(_walk(seq, cplx.vertices.n), 1, None):
+    for holders, placed, verts in islice(_walk(cplx, order), 1, None):
         once = _sieve(holders, placed, verts)
         keyed = []
         for v in verts:
-            missed = placed ^ placed & holders[v]  # the earlier facets missing v
+            missed = placed ^ holders[v]  # the earlier facets missing v
             alone = once & missed  # those missing v alone
             if alone:
                 keyed.append((missed & -missed, alone & -alone, labels[v]))

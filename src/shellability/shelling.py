@@ -1,25 +1,28 @@
 """Shelling orders: verification, restriction faces, and a backtracking search.
 
 Every caller uses one step test, :func:`_step`.  The facets are indices in
-a bitmask, ``holders[v]`` is the bitmask of all the facets that contain
-vertex v (:func:`~shellability.complexes._holders`), and the facets placed
-so far are a bitmask ``placed``.  Facet F extends them when its restriction
+a bitmask, the facets placed so far are a bitmask ``placed``, and
+``holders[v]`` is a bitmask of facets that contain vertex v, among them
+every placed one.  Facet F extends the placed facets when its restriction
 face, the set R of vertices x for which F minus x lies in a placed facet,
 lies in no placed facet itself; R is then the unique minimal face that F
 adds.  By Björner and Wachs (*Shellable nonpure complexes and posets I*,
 1996) this form holds for pure and non-pure complexes alike.  A step costs
 O(|F|) bitmask operations, whatever the number of placed facets.
 
-The index is built once per facet sequence and never changed: a step reads
-it only inside ``placed``, through ANDs with subsets of ``placed``, and never
+A given order is read with one walk, :func:`_walk`, which checks that the
+order lists the facets and hands each facet its vertices, the placed set and
+an index that holds exactly the placed facets: it indexes each facet after
+its step, so a caller that stops at a failed step indexes nothing past it.
+Verification, restriction faces and (in :mod:`~shellability.duality`) linear
+quotients all run on it, and the linear-quotient test is verification on
+the generators' complements, so each restriction face is computed one way.
+The search builds its index once, for every facet: a step reads it only
+inside ``placed``, through ANDs with subsets of ``placed``, and never
 inverts an entry, so each operation costs the length of the placed set, not
-of the whole index.  A given order is read with one walk, :func:`_walk`,
-which hands each facet the index and its placed set; verification,
-restriction faces and (in :mod:`~shellability.duality`) linear quotients and
-the linear-quotient test all run on it, so each restriction face is computed
-one way.  The search reads the same index under any placed set it reaches,
-so taking a facet back is clearing one bit of ``placed``; its candidates
-come from a second index built the same way, keyed by facet size.
+of the whole index, and taking a facet back is clearing one bit of
+``placed``; its candidates come from a second index built the same way,
+keyed by facet size.
 
 The search remembers every placed set it has refuted, as the
 decomposability recursion remembers every node: at most one set per
@@ -98,31 +101,39 @@ def _step(holders: list[int], placed: int, verts: list[int]) -> Face | None:
     return None if over else rest
 
 
-def _walk(seq: Sequence[Face], n: int):
-    """Yield ``(holders, placed, verts)`` for each facet along ``seq`` (faces
-    over ``n`` vertices): ``holders[v]`` is the bitmask of the facets of
-    ``seq`` holding vertex v, one index for every step, ``placed`` the
-    bitmask of the facets before this one, and ``verts`` its vertices, ready
-    for :func:`_step` or :func:`_sieve`, which read the index only inside
-    ``placed``.  The walk never stops itself."""
-    verts = [face_bits(f) for f in seq]
-    holders = _holders(verts, n)
-    for i, vs in enumerate(verts):
-        yield holders, (1 << i) - 1, vs
+def _walk(cplx: SimplicialComplex, order: Sequence[Face]):
+    """Yield ``(holders, placed, verts)`` for each facet along ``order``, a
+    permutation of the complex's facets (else :class:`InvalidOrder` on the
+    first ``next()``): ``placed`` is the bitmask of the facets before this
+    one, ``holders[v]`` the bitmask of those among them holding vertex v,
+    and ``verts`` this facet's vertices, ready for :func:`_step` or
+    :func:`_sieve`.  A facet joins the index only after its step, so a
+    caller that stops early indexes nothing past its stop.  The index grows
+    here rather than in :func:`~shellability.complexes._holders`, the
+    builder of every whole-family index, because indexing the whole order
+    first would make a refutation at step 1 pay for every facet.  The walk
+    never stops itself."""
+    holders = [0] * cplx.vertices.n
+    placed = 0
+    for i, facet in enumerate(facet_permutation(cplx, order)):
+        verts = face_bits(facet)
+        yield holders, placed, verts
+        bit = 1 << i
+        for v in verts:
+            holders[v] |= bit
+        placed |= bit
 
 
 def is_shelling_order(cplx: SimplicialComplex, order: Sequence[Face]) -> bool:
     """Whether ``order`` shells the complex, pure or not."""
-    seq = facet_permutation(cplx, order)
-    return all(_step(*step) is not None for step in _walk(seq, cplx.vertices.n))
+    return all(_step(*step) is not None for step in _walk(cplx, order))
 
 
 def restriction_faces(cplx: SimplicialComplex, order: Sequence[Face]) -> list[Face]:
     """The unique minimal new face of each step of a shelling order of the
     complex, pure or not (the empty face at position 0)."""
-    seq = facet_permutation(cplx, order)
     out = []
-    for step in _walk(seq, cplx.vertices.n):
+    for step in _walk(cplx, order):
         rest = _step(*step)
         if rest is None:
             raise InvalidOrder(f"not a shelling order at step {len(out) + 1}")

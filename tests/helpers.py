@@ -93,6 +93,13 @@ def twenty_facets() -> SimplicialComplex:
     return from_facets(VertexSet(tuple("abcdefgh")), facets)
 
 
+def shellable_not_vd() -> SimplicialComplex:
+    """A pure 2-complex on 7 vertices with 13 triangles and h = (1, 4, 8, 0)
+    that is shellable and 1-decomposable but not vertex-decomposable."""
+    facets = [7, 19, 21, 26, 28, 41, 42, 56, 67, 73, 82, 97, 112]
+    return from_facets(VertexSet(tuple("abcdefg")), facets)
+
+
 def graph(n: int, edges) -> SimplicialComplex:
     """The graph on v0..v(n-1) with the given (i, j) edges."""
     vs = VertexSet(tuple(f"v{i}" for i in range(n)))
@@ -137,6 +144,24 @@ def random_pure_complex(
     pool = [sum(1 << b for b in c) for c in combinations(range(n), k)]
     m = rng.randint(1, min(max_facets, len(pool)))
     return from_facets(VertexSet(tuple(LETTERS[:n])), rng.sample(pool, m))
+
+
+def antichains(n: int):
+    """Every nonempty antichain of subsets of n vertices, {0} included: the
+    subsets are taken largest first, and each joins only if no chosen one
+    holds it."""
+    pool = sorted(range(1 << n), key=int.bit_count, reverse=True)
+
+    def extend(i, chosen):
+        if i == len(pool):
+            if chosen:
+                yield chosen
+            return
+        yield from extend(i + 1, chosen)
+        if not any(pool[i] & ~t == 0 for t in chosen):
+            yield from extend(i + 1, [*chosen, pool[i]])
+
+    return extend(0, [])
 
 
 # --- hypothesis strategies ------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    antichains,
     bowtie,
+    brute_first_shelling,
     brute_is_k_decomposable,
     brute_shedding_faces,
     brute_shedding_vertices,
@@ -18,6 +20,7 @@ from helpers import (
     graph,
     random_complex,
     random_pure_complex,
+    shellable_not_vd,
     twenty_facets,
     two_large_facets,
     vset,
@@ -290,6 +293,39 @@ class TestHandOff:
         ) as steps:
             assert not is_k_decomposable(twenty_facets(), 2)
         assert steps[0] == 527_822
+
+
+class TestHierarchy:
+    def test_shellable_but_not_vertex_decomposable(self):
+        # the verdicts come from the brute oracles; a non-VD complex has no
+        # vertex that starts a decomposition, so it sheds none
+        c = shellable_not_vd()
+        assert h_vector(c) == (1, 4, 8, 0)
+        assert brute_first_shelling(list(c.facets)) is not None
+        assert not brute_is_k_decomposable(c, 0)
+        assert brute_is_k_decomposable(c, 1)
+        assert brute_shedding_vertices(c) == []
+        assert is_shellable(c)
+        assert not is_vertex_decomposable(c)
+        assert is_k_decomposable(c, 1)
+        assert shedding_vertices(c) == []
+
+    def test_census_on_five_vertices(self):
+        # every complex on five labelled vertices: shellability and VD
+        # coincide there, so the counts are equal
+        vs = vset("abcde")
+        cases = shellable = vd = 0
+        for facets in antichains(vs.n):
+            c = from_facets(vs, facets)
+            brute = (
+                brute_first_shelling(list(c.facets)) is not None,
+                brute_is_k_decomposable(c, 0),
+            )
+            assert (is_shellable(c), is_vertex_decomposable(c)) == brute
+            cases += 1
+            shellable += brute[0]
+            vd += brute[1]
+        assert (cases, shellable, vd) == (7580, 6908, 6908)
 
 
 class TestAgainstBruteForce:

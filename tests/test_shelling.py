@@ -101,6 +101,18 @@ class TestIsShellingOrder:
         with pytest.raises(InvalidOrder):
             is_shelling_order(demo, list(demo.facets[:-1]))
 
+    def test_refutation_stops_at_the_failed_step(self):
+        # two disjoint triangles first in the 9,880 of the 40-vertex
+        # 2-skeleton: the walk reads the vertices of those two facets alone
+        vs = VertexSet(tuple(f"v{i}" for i in range(40)))
+        c = from_facets(vs, [sum(1 << b for b in t) for t in combinations(range(40), 3)])
+        order = [0b111, 0b111000] + [f for f in c.facets if f not in (0b111, 0b111000)]
+        with counted_calls(shelling, "face_bits", 2):
+            assert not is_shelling_order(c, order)
+        with counted_calls(shelling, "face_bits", 2):
+            with pytest.raises(InvalidOrder, match="at step 2"):
+                restriction_faces(c, order)
+
     @settings(max_examples=80)
     @given(complexes(max_vertices=6, max_faces=6))
     def test_steps_and_restrictions_match_brute_force(self, c):
