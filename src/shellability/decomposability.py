@@ -19,8 +19,26 @@ bitmasks compressed onto their occupied vertices 0..r-1; compressing keeps
 the bit order, so the canonical facet order survives, and so does taking the
 facets of a deletion or a link.  Such a tuple is both the complex and its
 memo key, and no node builds a :class:`SimplicialComplex`.  Candidates are
-tried in canonical face order, the deletion before the link, and verdicts
+tried in canonical face order, the link before the deletion, and verdicts
 are memoised per top-level call.
+
+Every link of a k-decomposable complex is k-decomposable (Provan and
+Billera, 1980, for pure complexes; Björner and Wachs, *Shellable nonpure
+complexes and posets II*, 1997, Section 11, for nonpure ones).  So a
+candidate whose link is not k-decomposable refutes its node at once, and
+:func:`shedding_vertices` stops at such a vertex with none found.  Proof, by
+induction along a decomposition in which σ sheds with deletion D and link
+L: the link of a face τ is D's link of τ when τ ∪ σ is not a face, and L's
+link of τ minus σ when τ holds σ; otherwise σ minus τ sheds from it, with
+D's link of τ as deletion and L's link of τ minus σ as link.
+
+A cone v∗L is k-decomposable iff its base L is, so :func:`_packed` drops
+the vertices that every facet of a node holds, and the closed forms below
+then answer, say, a cone over a graph.  Proof: a face σ of L sheds in v∗L
+iff it sheds in L, and its deletion and link there are the cones over its
+deletion and link in L, so a decomposition of L is one of v∗L; conversely
+L is the link of v.  Two facets differ outside the vertices they share, so
+dropping those keeps the canonical order.
 
 A node of one facet is a simplex.  A node of two facets F and G is answered
 in closed form, before any packing or memo entry: it is k-decomposable, for
@@ -54,7 +72,7 @@ it far cheaper than this recursion.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .complexes import Face, SimplicialComplex, _holders, face_bits
 from .face_ops import _check_deletable
@@ -64,12 +82,14 @@ _Memo = dict[tuple[Face, ...], bool]
 
 
 def _packed(facets: Sequence[Face]) -> tuple[Face, ...]:
-    """The facets compressed onto their occupied vertices, order kept."""
-    occupied = 0
+    """The facets without the vertices they all share, compressed onto the
+    vertices left, order kept."""
+    occupied, apex = 0, -1
     for f in facets:
         occupied |= f
-    gaps = ((1 << occupied.bit_length()) - 1) ^ occupied
-    while gaps:  # close the highest run of unoccupied vertices
+        apex &= f
+    gaps = ((1 << occupied.bit_length()) - 1) ^ occupied | apex
+    while gaps:  # close the highest run of dropped vertices
         top = gaps.bit_length()
         start = (((1 << top) - 1) ^ gaps).bit_length()
         low = (1 << start) - 1
@@ -139,14 +159,13 @@ def _decomposable(facets: Sequence[Face], k: int, memo: _Memo) -> bool:
     if len(facets) == 2:  # the only shedding face is v with F - G = {v}
         f, g = facets
         return (f & ~g).bit_count() == 1 or (g & ~f).bit_count() == 1
+    if facets[0].bit_count() > 2:  # pack, reducing a cone to its base
+        facets = _packed(facets)
     if facets[0].bit_count() <= 2:  # a graph: decomposable iff connected
         return _connected([f for f in facets if f.bit_count() == 2])
-    node = _packed(facets)
-    cached = memo.get(node)
+    cached = memo.get(facets)
     if cached is None:
-        cached = memo[node] = any(
-            _decomposes_at(node, face, k, memo) for face in _Shedding(node).faces(k)
-        )
+        cached = memo[facets] = any(_starts(facets, _Shedding(facets).faces(k), k, memo))
     return cached
 
 
@@ -166,11 +185,17 @@ def _connected(edges: Sequence[Face]) -> bool:
     return True
 
 
-def _decomposes_at(facets: Sequence[Face], face: Face, k: int, memo: _Memo) -> bool:
-    # for a shedding ``face``: whether its deletion and link are both k-decomposable
-    return _decomposable([f for f in facets if face & ~f], k, memo) and _decomposable(
-        [f ^ face for f in facets if not face & ~f], k, memo
-    )
+def _starts(
+    facets: Sequence[Face], faces: Iterable[Face], k: int, memo: _Memo
+) -> Iterator[Face]:
+    """The shedding ``faces`` whose link and deletion are both k-decomposable,
+    in turn.  A link that is not stops the walk: the complex is then not
+    k-decomposable, so no face starts a decomposition."""
+    for face in faces:
+        if not _decomposable([f ^ face for f in facets if not face & ~f], k, memo):
+            return
+        if _decomposable([f for f in facets if face & ~f], k, memo):
+            yield face
 
 
 def is_vertex_decomposable(cplx: SimplicialComplex) -> bool:
@@ -185,7 +210,7 @@ def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
     :class:`NotAFace` as :func:`face_deletion` does."""
     if vertex.bit_count() != 1:
         raise ValueError("expected a single-vertex face")
-    return is_shedding_face(cplx, vertex) and _decomposes_at(cplx.facets, vertex, 0, {})
+    return is_shedding_face(cplx, vertex) and any(_starts(cplx.facets, [vertex], 0, {}))
 
 
 def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
@@ -211,9 +236,4 @@ def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
 
 def shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
     """Vertices passing :func:`is_shedding_vertex`, in position order."""
-    memo: _Memo = {}
-    return [
-        v
-        for v in _Shedding(cplx.facets).faces(0)
-        if _decomposes_at(cplx.facets, v, 0, memo)
-    ]
+    return list(_starts(cplx.facets, _Shedding(cplx.facets).faces(0), 0, {}))

@@ -6,7 +6,7 @@ each facet (and the first shelling order by a memo-free depth-first search
 on those steps), transversals by scanning the whole power set of the universe,
 linear quotients by comparing every pair of earlier generators or facets,
 and decomposability by recursing on brute face sets (deletion and link by
-filtering, no memo).
+filtering, each face set's verdict kept for the rest of the top-level call).
 """
 
 from __future__ import annotations
@@ -98,6 +98,13 @@ def shellable_not_vd() -> SimplicialComplex:
     that is shellable and 1-decomposable but not vertex-decomposable."""
     facets = [7, 19, 21, 26, 28, 41, 42, 56, 67, 73, 82, 97, 112]
     return from_facets(VertexSet(tuple("abcdefg")), facets)
+
+
+def eleven_triangles() -> SimplicialComplex:
+    """A pure 2-complex on 7 vertices with 11 triangles and h = (1, 4, 6, 0)
+    that is not shellable and no vertex lies in every triangle, so the
+    decomposability recursion has to search it."""
+    return cx("abcdefg", "abd acd ade bde acf def bdg beg afg dfg efg")
 
 
 def graph(n: int, edges) -> SimplicialComplex:
@@ -332,31 +339,43 @@ def brute_sheds(faces: set[Face], facets: set[Face], sigma: Face) -> bool:
     return brute_maximal(deletion) <= facets
 
 
-def _brute_decomposes_at(faces: set[Face], facets: set[Face], sigma: Face, k: int) -> bool:
-    link = {t for t in faces if t & sigma == 0 and t | sigma in faces}
+def brute_link(faces: set[Face], sigma: Face) -> set[Face]:
+    """The faces missing ``sigma`` whose union with it is a face."""
+    return {t for t in faces if t & sigma == 0 and t | sigma in faces}
+
+
+def _brute_decomposes_at(
+    faces: set[Face], facets: set[Face], sigma: Face, k: int, memo: dict
+) -> bool:
     return (
         brute_sheds(faces, facets, sigma)
-        and _brute_decomposable({t for t in faces if sigma & ~t}, k)
-        and _brute_decomposable(link, k)
+        and _brute_decomposable({t for t in faces if sigma & ~t}, k, memo)
+        and _brute_decomposable(brute_link(faces, sigma), k, memo)
     )
 
 
-def _brute_decomposable(faces: set[Face], k: int) -> bool:
-    facets = brute_maximal(faces)
-    if len(facets) == 1:
-        return True
-    return any(
-        _brute_decomposes_at(faces, facets, sigma, k)
-        for sigma in faces
-        if 0 < sigma.bit_count() <= k + 1
-    )
+def _brute_decomposable(faces: set[Face], k: int, memo: dict) -> bool:
+    key = frozenset(faces)
+    if key not in memo:
+        facets = brute_maximal(faces)
+        memo[key] = len(facets) == 1 or any(
+            _brute_decomposes_at(faces, facets, sigma, k, memo)
+            for sigma in faces
+            if 0 < sigma.bit_count() <= k + 1
+        )
+    return memo[key]
+
+
+def brute_decomposable(faces: set[Face], k: int) -> bool:
+    """k-decomposability of a set of faces, by recursion: a simplex, or a
+    face of at most k + 1 vertices that sheds and whose deletion and link
+    are both k-decomposable."""
+    return _brute_decomposable(faces, k, {})
 
 
 def brute_is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
-    """k-decomposability by recursion on face sets: a simplex, or a face of
-    at most k + 1 vertices that sheds and whose deletion and link are both
-    k-decomposable."""
-    return _brute_decomposable(brute_face_set(cplx), k)
+    """:func:`brute_decomposable` on every face of the complex."""
+    return brute_decomposable(brute_face_set(cplx), k)
 
 
 def brute_shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
@@ -371,6 +390,7 @@ def brute_shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
 def brute_shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
     faces = brute_face_set(cplx)
     facets = brute_maximal(faces)
+    memo: dict = {}
     return sorted(
-        s for s in faces if s.bit_count() == 1 and _brute_decomposes_at(faces, facets, s, 0)
+        s for s in faces if s.bit_count() == 1 and _brute_decomposes_at(faces, facets, s, 0, memo)
     )

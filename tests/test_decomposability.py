@@ -9,13 +9,17 @@ from hypothesis import given, settings
 from helpers import (
     antichains,
     bowtie,
+    brute_decomposable,
+    brute_face_set,
     brute_first_shelling,
     brute_is_k_decomposable,
+    brute_link,
     brute_shedding_faces,
     brute_shedding_vertices,
     complexes,
     counted_calls,
     cx,
+    eleven_triangles,
     fc,
     graph,
     random_complex,
@@ -30,6 +34,7 @@ from shellability import decomposability, shelling
 from shellability import (
     EmptyFace,
     NotAFace,
+    VertexSet,
     all_faces,
     face_deletion,
     from_facets,
@@ -180,27 +185,51 @@ class TestSheddingLists:
         assert is_k_decomposable(c, 1)
 
 
+def _traversal(monkeypatch, cplx, k) -> tuple[bool, int, int]:
+    # a work count, not a time: the verdict, the recursion's calls and the
+    # memo classes it leaves pin the traversal (cones reduced to their base,
+    # candidates in canonical face order, the link before the deletion, a
+    # failed link refuting its node, one memo entry per packed complex of
+    # three or more facets that is not a graph)
+    memos = []  # the memo each call was given
+    recurse = decomposability._decomposable
+
+    def counted(*args):
+        memos.append(args[-1])
+        return recurse(*args)
+
+    monkeypatch.setattr(decomposability, "_decomposable", counted)
+    verdict = is_k_decomposable(cplx, k)
+    assert len({id(memo) for memo in memos}) == 1
+    return verdict, len(memos), len(memos[0])
+
+
 class TestTraversal:
-    @pytest.mark.parametrize(
-        "m, k, recursive, classes", [(7, 0, 1597, 284), (5, 1, 685, 122)]
-    )
-    def test_bowtie_work_counts(self, monkeypatch, m, k, recursive, classes):
-        # a work count, not a time: the recursion's calls and the memo
-        # classes it leaves pin the traversal (candidates in canonical face
-        # order, deletion before link, one memo entry per packed complex
-        # of three or more facets)
-        memos = []  # the memo each call was given
-        recurse = decomposability._decomposable
+    @pytest.mark.parametrize("m, k", [(7, 0), (5, 1)])
+    def test_bowtie_work_counts(self, monkeypatch, m, k):
+        # a bowtie is a cone over two disjoint paths, so the top-level call
+        # answers by the graph closed form; the search before the cone
+        # reduction made 1,598 calls and 284 classes at m = 7, k = 0, and
+        # 686 calls and 122 classes at m = 5, k = 1
+        assert _traversal(monkeypatch, bowtie(m), k) == (False, 1, 0)
 
-        def counted(*args):
-            memos.append(args[-1])
-            return recurse(*args)
+    @pytest.mark.parametrize("k, calls, classes", [(0, 27, 9), (1, 4789, 615)])
+    def test_non_cone_work_counts(self, monkeypatch, k, calls, classes):
+        # no vertex lies in every triangle, so this one is searched; with
+        # the deletion tried first and no refutation by a link it took 31
+        # calls and 12 classes at k = 0, and 3,455 calls and 721 classes at
+        # k = 1 (fewer calls there, but more shedding indexes)
+        c = eleven_triangles()
+        assert h_vector(c) == (1, 4, 6, 0)
+        assert not brute_is_k_decomposable(c, k)
+        assert _traversal(monkeypatch, c, k) == (False, calls, classes)
 
-        monkeypatch.setattr(decomposability, "_decomposable", counted)
-        assert not is_k_decomposable(bowtie(m), k)
-        assert len(memos) == 1 + recursive
-        assert len({id(memo) for memo in memos}) == 1
-        assert len(memos[0]) == classes
+    def test_twenty_facets_one_decomposable(self):
+        # a failed link refutes its node at once: the search that tried the
+        # deletion first built 29,517 shedding indexes here (about 1.9 s)
+        with counted_calls(decomposability, "_Shedding", 10) as builds:
+            assert not is_k_decomposable(twenty_facets(), 1)
+        assert builds[0] == 2
 
 
 class TestTwoFacets:
@@ -326,6 +355,68 @@ class TestHierarchy:
             shellable += brute[0]
             vd += brute[1]
         assert (cases, shellable, vd) == (7580, 6908, 6908)
+
+    def test_census_sample_one_decomposable(self):
+        # a seeded fifth of the census at k = 1, the brute oracle's share of
+        # the whole census kept to about a second
+        vs = vset("abcde")
+        sample = random.Random(41).sample(list(antichains(vs.n)), 1500)
+        yes = 0
+        for facets in sample:
+            c = from_facets(vs, facets)
+            verdict = brute_is_k_decomposable(c, 1)
+            assert is_k_decomposable(c, 1) == verdict
+            yes += verdict
+        assert yes == 1361
+
+    def test_census_top_dimension_without_hand_off(self):
+        # the recursion itself, not handed to the shelling search, agrees
+        # with is_shellable at every k >= dim: the hand-off to the search
+        # rests on this for nonpure complexes
+        vs = vset("abcde")
+        pairs = 0
+        for facets in antichains(vs.n):
+            c = from_facets(vs, facets)
+            d, shellable = c.dimension(), is_shellable(c)
+            for k in range(max(d, 0), d + 2):
+                assert decomposability._decomposable(c.facets, k, {}) == shellable
+                pairs += 1
+        assert pairs == 15_159
+
+
+class TestLemmas:
+    # the two facts the recursion's shortcuts rest on, checked by the brute
+    # oracles alone
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes(max_vertices=5))
+    def test_cone_is_decomposable_iff_its_base_is(self, c):
+        apex = 1 << c.vertices.n
+        cone = from_facets(
+            VertexSet((*c.vertices.labels, "z")), [f | apex for f in c.facets]
+        )
+        for k in range(3):
+            verdict = brute_is_k_decomposable(c, k)
+            assert brute_is_k_decomposable(cone, k) == verdict
+            assert is_k_decomposable(cone, k) == verdict
+
+    def test_links_of_a_decomposable_complex_are_decomposable(self):
+        # every link of a face of at most k + 1 vertices, which is every
+        # face that can shed
+        rng = random.Random(41)
+        decomposable = links = 0
+        for i in range(500):
+            c = (random_pure_complex if i % 2 else random_complex)(rng, max_vertices=6)
+            faces = brute_face_set(c)
+            for k in range(3):
+                if not brute_decomposable(faces, k):
+                    continue
+                decomposable += 1
+                for sigma in faces:
+                    if 0 < sigma.bit_count() <= k + 1:
+                        assert brute_decomposable(brute_link(faces, sigma), k)
+                        links += 1
+        assert (decomposable, links) == (1425, 9157)
 
 
 class TestAgainstBruteForce:
