@@ -11,7 +11,7 @@ from itertools import islice
 
 from .complexes import Face, SimplicialComplex, VertexSet
 from .errors import VoidDual
-from .shelling import _sieve, _walk, is_shelling_order
+from .shelling import _walk, is_shelling_order
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def linear_quotients_from_shelling(
 
     Step i lists the vertices x for which order[i] minus some earlier facet
     is exactly {x}: the restriction face of order[i] against the facets
-    before it, which the shelling step's sieve finds on the same walk
-    (:func:`~shellability.shelling._sieve`).  They come ordered by the first
+    before it, which the walk's sieve finds for the shelling step
+    (:func:`~shellability.shelling._walk`).  They come ordered by the first
     earlier facet order[j] with x in order[i] minus order[j], then by the
     first earlier facet order[k] with order[i] minus order[k] equal to {x};
     each key is the lowest bit of a bitmask of earlier facets.  A step costs
@@ -91,8 +91,7 @@ def linear_quotients_from_shelling(
     """
     labels = cplx.vertices.labels
     steps: list[tuple[str, ...]] = []
-    for holders, placed, verts in islice(_walk(cplx, order), 1, None):
-        once = _sieve(holders, placed, verts)
+    for holders, placed, verts, once in islice(_walk(cplx, order), 1, None):
         keyed = []
         for v in verts:
             missed = placed ^ holders[v]  # the earlier facets missing v

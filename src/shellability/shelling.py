@@ -22,7 +22,14 @@ inside ``placed``, through ANDs with subsets of ``placed``, and never
 inverts an entry, so each operation costs the length of the placed set, not
 of the whole index, and taking a facet back is clearing one bit of
 ``placed``; its candidates come from a second index built the same way,
-keyed by facet size.
+keyed by facet size.  A candidate F none of whose ridges (F minus one
+vertex) lies in a placed facet has an empty restriction face, which every
+placed facet holds, so once something is placed the search skips F without
+a step test.  From a facet's first failure on (a failed step, a skip or a
+refuted set), the search keeps its ridge mask, the other facets that hold
+one of its ridges (its sieve against all of them), so each later sieve of
+that facet is one AND with ``placed``.  A search that never fails keeps no
+mask, so the masks grow with the work done, like the memo below.
 
 The search remembers every placed set it has refuted, as the
 decomposability recursion remembers every node: at most one set per
@@ -34,8 +41,8 @@ again, and skipping it changes no answer: the first order found stays the
 same.  A memo that stopped recording at some size would hold a subset of
 this one, so it could only add step tests: on a non-shellable pure
 2-complex with 20 facets on 8 vertices, full recording answers after
-527,822 step tests and 143,343 refuted sets, where a cap of 131,072 sets
-made over 24 million step tests and had no answer yet.
+449,730 step tests and 143,343 refuted sets, where a cap of 131,072 sets
+made over 24 million step tests (without the skip) and had no answer yet.
 """
 
 from __future__ import annotations
@@ -82,16 +89,18 @@ def _sieve(holders: list[int], among: int, verts: list[int]) -> int:
     return once
 
 
-def _step(holders: list[int], placed: int, verts: list[int]) -> Face | None:
+def _step(holders: list[int], placed: int, verts: list[int], once: int) -> Face | None:
     """Restriction face of the facet on vertices ``verts`` placed after the
     facets in bitmask ``placed``, or ``None`` when that step does not shell.
 
     ``holders[v]`` is the bitmask of the facets that contain vertex v, read
-    only inside ``placed``.  :func:`_sieve` finds the placed facets that miss
-    exactly one vertex of the facet; the vertices they miss form the
-    restriction face R, and the step shells iff no placed facet holds all
-    of R."""
-    once = _sieve(holders, placed, verts)
+    only inside ``placed``, and ``once`` is :func:`_sieve` of the facet
+    against ``placed``: the placed facets that miss exactly one of its
+    vertices.  The vertices they miss form the restriction face R, and the
+    step shells iff no placed facet holds all of R.  An empty ``once`` makes
+    R empty, and every placed facet holds the empty face, so such a step
+    fails whenever anything is placed: a facet with no placed facet on one
+    of its ridges cannot come next."""
     rest, over = 0, placed  # over: the placed facets holding all of R so far
     for v in verts:
         h = holders[v]
@@ -102,22 +111,26 @@ def _step(holders: list[int], placed: int, verts: list[int]) -> Face | None:
 
 
 def _walk(cplx: SimplicialComplex, order: Sequence[Face]):
-    """Yield ``(holders, placed, verts)`` for each facet along ``order``, a
-    permutation of the complex's facets (else :class:`InvalidOrder` on the
-    first ``next()``): ``placed`` is the bitmask of the facets before this
-    one, ``holders[v]`` the bitmask of those among them holding vertex v,
-    and ``verts`` this facet's vertices, ready for :func:`_step` or
-    :func:`_sieve`.  A facet joins the index only after its step, so a
-    caller that stops early indexes nothing past its stop.  The index grows
-    here rather than in :func:`~shellability.complexes._holders`, the
-    builder of every whole-family index, because indexing the whole order
-    first would make a refutation at step 1 pay for every facet.  The walk
-    never stops itself."""
+    """Yield ``(holders, placed, verts, once)`` for each facet along
+    ``order``, a permutation of the complex's facets (else
+    :class:`InvalidOrder` on the first ``next()``): ``placed`` is the
+    bitmask of the facets before this one, ``holders[v]`` the bitmask of
+    those among them holding vertex v, ``verts`` this facet's vertices and
+    ``once`` the earlier facets that miss exactly one of them (its
+    :func:`_sieve`), ready for :func:`_step`.  Past the first facet an empty
+    ``once`` means no earlier facet holds a ridge of this one, so its
+    restriction face is empty and its step fails.  A facet joins the index
+    only after its step, so a caller that stops early indexes nothing past
+    its stop.  The index grows here rather than in
+    :func:`~shellability.complexes._holders`, the builder of every
+    whole-family index, because indexing the whole order first would make a
+    refutation at step 1 pay for every facet.  The walk never stops
+    itself."""
     holders = [0] * cplx.vertices.n
     placed = 0
     for i, facet in enumerate(facet_permutation(cplx, order)):
         verts = face_bits(facet)
-        yield holders, placed, verts
+        yield holders, placed, verts, _sieve(holders, placed, verts)
         bit = 1 << i
         for v in verts:
             holders[v] |= bit
@@ -193,7 +206,8 @@ def shelling_order(
     facets of maximal remaining cardinality are candidates (vacuous for pure
     complexes), so returned orders have weakly decreasing dimension.  Every
     set of placed facets found to have no completion is remembered (one per
-    exhausted node) and skipped when met again, which changes no answer.
+    exhausted node) and skipped when met again, and so is a candidate with
+    no placed facet on any of its ridges; neither changes any answer.
     Deterministic for a fixed order.  Raises :class:`InvalidOrder` when
     ``order`` is not a permutation of the facets.
     """
@@ -204,7 +218,11 @@ def shelling_order(
     by_size = _holders([[len(vs)] for vs in verts], cplx.vertices.n + 1)
     levels = [m for m in reversed(by_size) if m]
     holders = _holders(verts, cplx.vertices.n)
+    everyone = (1 << n) - 1
     dead: set[int] = set()  # placed sets with no shelling completion
+    # facet index -> the other facets that hold one of its ridges, kept
+    # from that facet's first failure on
+    ridges: dict[int, int] = {}
     placed = 0
     path: list[int] = []  # the depth-first path, as indices into arranged
     rests: list[Face] = []
@@ -219,11 +237,17 @@ def shelling_order(
         while cands:
             low = cands & -cands
             cands ^= low
-            if placed | low not in dead:
-                i = low.bit_length() - 1
-                rest = _step(holders, placed, verts[i])
+            i = low.bit_length() - 1
+            vs = verts[i]
+            ridge = ridges.get(i)
+            once = _sieve(holders, placed, vs) if ridge is None else ridge & placed
+            # an empty once fails the step once anything is placed
+            if (once or not placed) and placed | low not in dead:
+                rest = _step(holders, placed, vs, once)
                 if rest is not None:
                     break
+            if ridge is None:
+                ridges[i] = _sieve(holders, everyone ^ low, vs)
         else:
             dead.add(placed)
             if not path:

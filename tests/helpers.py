@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own algorithms: faces are found
 by filtering all 2^n subsets, shelling steps by enumerating the subsets of
 each facet (and the first shelling order by a memo-free depth-first search
-on those steps), transversals by scanning the whole power set of the universe,
+on those steps, and shellability by the same search keeping its refuted
+sets), transversals by scanning the whole power set of the universe,
 linear quotients by comparing every pair of earlier generators or facets,
 and decomposability by recursing on brute face sets (deletion and link by
 filtering, each face set's verdict kept for the rest of the top-level call).
@@ -87,7 +88,7 @@ def two_large_facets() -> SimplicialComplex:
 
 def twenty_facets() -> SimplicialComplex:
     """A pure 2-complex on 8 vertices that is not shellable; refuting it
-    takes the shelling search 527,822 step tests and 143,343 refuted sets."""
+    takes the shelling search 449,730 step tests and 143,343 refuted sets."""
     facets = [19, 41, 49, 50, 56, 67, 70, 73, 81, 82, 84, 88, 97, 112, 137,
               138, 168, 200, 208, 224]
     return from_facets(VertexSet(tuple("abcdefgh")), facets)
@@ -105,6 +106,12 @@ def eleven_triangles() -> SimplicialComplex:
     that is not shellable and no vertex lies in every triangle, so the
     decomposability recursion has to search it."""
     return cx("abcdefg", "abd acd ade bde acf def bdg beg afg dfg efg")
+
+
+def two_skeleton(n: int) -> SimplicialComplex:
+    """Every triangle on v0..v(n-1): the 2-skeleton of the (n-1)-simplex."""
+    vs = VertexSet(tuple(f"v{i}" for i in range(n)))
+    return from_facets(vs, [sum(1 << b for b in t) for t in combinations(range(n), 3)])
 
 
 def graph(n: int, edges) -> SimplicialComplex:
@@ -275,6 +282,38 @@ def brute_first_shelling(order) -> tuple[list[Face], list[Face]] | None:
         return None
 
     return extend([], [], list(order))
+
+
+def brute_is_shellable(facets) -> bool:
+    """Whether some order of ``facets`` shells, by a depth-first search that
+    places a largest remaining facet next, each step checked by
+    :func:`brute_step_restriction`, and keeps every set of placed facets
+    found to have no completion.  A step depends only on the set of earlier
+    facets, so a refuted set is refuted wherever it is met again, and a
+    shellable complex has a shelling of weakly decreasing facet size
+    (Björner and Wachs, 1996), so trying the largest facets first loses no
+    shelling."""
+    facets = list(facets)
+    refuted: set[frozenset[Face]] = set()
+
+    def extend(placed: frozenset[Face]) -> bool:
+        if len(placed) == len(facets):
+            return True
+        if placed in refuted:
+            return False
+        remaining = [f for f in facets if f not in placed]
+        largest = max(f.bit_count() for f in remaining)
+        for facet in remaining:
+            if (
+                facet.bit_count() == largest
+                and brute_step_restriction(placed, facet) is not None
+                and extend(placed | {facet})
+            ):
+                return True
+        refuted.add(placed)
+        return False
+
+    return extend(frozenset())
 
 
 def brute_restriction_faces(order) -> list[Face]:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     bowtie,
     brute_first_shelling,
     brute_has_linear_quotients,
+    brute_is_shellable,
     brute_is_shelling_order,
     brute_linear_quotients,
     brute_minimal_hitting_sets,
@@ -20,11 +22,14 @@ from helpers import (
     complexes,
     counted_calls,
     cx,
+    eleven_triangles,
     faces_of,
     pure_complexes,
     random_complex,
     random_pure_complex,
+    shellable_not_vd,
     twenty_facets,
+    two_skeleton,
     vset,
     words,
 )
@@ -104,8 +109,7 @@ class TestIsShellingOrder:
     def test_refutation_stops_at_the_failed_step(self):
         # two disjoint triangles first in the 9,880 of the 40-vertex
         # 2-skeleton: the walk reads the vertices of those two facets alone
-        vs = VertexSet(tuple(f"v{i}" for i in range(40)))
-        c = from_facets(vs, [sum(1 << b for b in t) for t in combinations(range(40), 3)])
+        c = two_skeleton(40)
         order = [0b111, 0b111000] + [f for f in c.facets if f not in (0b111, 0b111000)]
         with counted_calls(shelling, "face_bits", 2):
             assert not is_shelling_order(c, order)
@@ -324,27 +328,50 @@ class TestShellingOrderSearch:
 
     @staticmethod
     def refutation_work(c, order=None):
-        # the step tests the search makes to refute c
+        # the step tests the search makes to refute c; a candidate skipped
+        # because no placed facet lies on one of its ridges is not one
         with counted_calls(shelling, "_step", 600_000) as calls:
             assert shelling_order(c, order) is None
         return calls[0]
 
     def test_bowtie_refutation_work(self):
         # a work count, not a time: without the memo of refuted placed sets
-        # the search makes 228,696 step tests on bowtie m=12, with it 2,908.
-        # The counts are exact, so a change to the order in which the search
-        # tries facets shows here; bowtie m=20 has 40 facets, so its placed
-        # sets span two 30-bit digits
-        assert self.refutation_work(bowtie(12)) == 2908
-        assert self.refutation_work(bowtie(20)) == 13380
+        # the search makes 16,356 step tests on bowtie m=12, with it 156
+        # (228,696 and 2,908 when a candidate with no placed facet on a
+        # ridge was still tested).  The counts are exact, so a change to the
+        # order in which the search tries facets shows here; bowtie m=20 has
+        # 40 facets, so its placed sets span two 30-bit digits
+        assert self.refutation_work(bowtie(12)) == 156
+        assert self.refutation_work(bowtie(20)) == 420
 
     def test_twenty_facet_refutation_work(self):
         # a non-shellable pure 2-complex on 8 vertices whose refutation
         # needs 143,343 refuted placed sets; a memo that stopped recording
-        # at 131,072 made over 24 million step tests without an answer
+        # at 131,072 made over 24 million step tests without an answer.
+        # Testing the skipped candidates too made 527,822
         c = twenty_facets()
         for order in (None, shuffled_facets(c, 0)):
-            assert self.refutation_work(c, order) == 527_822
+            assert self.refutation_work(c, order) == 449_730
+
+    @pytest.mark.parametrize(
+        "c, shellable",
+        [
+            (eleven_triangles(), False),
+            (shellable_not_vd(), True),
+            *((bowtie(m), False) for m in range(3, 9)),
+        ],
+        ids=["eleven_triangles", "shellable_not_vd", *(f"bowtie{m}" for m in range(3, 9))],
+    )
+    def test_verdict_matches_refutation_oracle(self, c, shellable):
+        # the memo-free reference DFS is too slow to refute these (19 s on
+        # eleven_triangles); the oracle keeps its refuted sets
+        assert brute_is_shellable(c.facets) == shellable
+        assert (shelling_order(c) is not None) == shellable
+
+    @settings(max_examples=150)
+    @given(st.one_of(complexes(), pure_complexes()))
+    def test_verdict_matches_refutation_oracle_on_draws(self, c):
+        assert (shelling_order(c) is not None) == brute_is_shellable(c.facets)
 
     @settings(max_examples=60)
     @given(complexes())
@@ -391,15 +418,27 @@ class TestShellingOrderSearch:
     def test_deep_search_keeps_to_the_heap(self, tmp_path, capsys):
         # the 2-skeleton of the 20-vertex simplex: 1,140 facets, so the
         # search goes 1,140 placements deep
-        vs = VertexSet(tuple(f"v{i}" for i in range(20)))
-        triples = [sum(1 << b for b in t) for t in combinations(range(20), 3)]
-        c = from_facets(vs, triples)
+        c = two_skeleton(20)
         order = shelling_order(c)
         assert order is not None and is_shelling_order(c, list(order.facets))
         doc = tmp_path / "skeleton.cplx"
         doc.write_text(serialize_complex(c))
         assert main(["shellable", str(doc)]) == 0
         assert capsys.readouterr().out == "true\n"
+
+    def test_search_memory_stays_with_the_work(self):
+        # the 2-skeleton of the 40-vertex simplex shells without a failed
+        # step, so the search keeps no ridge mask: traced peak 2.05 MB, as
+        # before ridge masks were kept at all, against 15.5 MB with a ridge
+        # mask built for every facet up front
+        c = two_skeleton(40)
+        tracemalloc.start()
+        try:
+            assert shelling_order(c) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_isolated_points_are_shellable(self):
         for k in range(1, 6):
