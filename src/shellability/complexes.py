@@ -330,21 +330,16 @@ def is_simplex(cplx: SimplicialComplex) -> bool:
 def all_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
     """Nonempty faces of dimension at most ``k``, in canonical face order.
 
-    Lists the occupied vertices, then the subsets of two to k + 1 vertices
-    of each facet, so a facet F costs C(|F|, 2) + ... + C(|F|, k + 1) sets,
-    not 2^|F|."""
+    Lists the subsets of one to k + 1 vertices of each facet, so a facet F
+    costs C(|F|, 1) + ... + C(|F|, k + 1) sets, not 2^|F|."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    occupied = 0
-    for facet in cplx.facets:
-        occupied |= facet
-    vertices = [1 << b for b in face_bits(occupied)]
-    larger: set[Face] = set()
+    faces: set[Face] = set()
     for facet in cplx.facets:
         bits = [1 << b for b in face_bits(facet)]
-        for size in range(2, min(k + 1, len(bits)) + 1):
-            larger.update(map(sum, combinations(bits, size)))
-    return vertices + sorted(larger, key=face_sort_key)
+        for size in range(1, min(k + 1, len(bits)) + 1):
+            faces.update(map(sum, combinations(bits, size)))
+    return sorted(faces, key=face_sort_key)
 
 
 def facet_permutation(cplx: SimplicialComplex, order: Iterable[Face]) -> list[Face]:

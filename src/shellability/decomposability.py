@@ -5,9 +5,11 @@ is already a facet of the complex.  That holds exactly when, for each facet
 F containing σ and each v in σ, F minus v lies in another facet, that is,
 when σ lies in the restriction face of every facet F containing it against
 all the other facets (Björner and Wachs, *Shellable nonpure complexes and
-posets I*, 1996).  The shelling step's sieve (:func:`shelling._sieve`)
-computes those restriction faces from ``holders[v]``, the bitmask of the
-facets holding vertex v, so the test builds no deletion.
+posets I*, 1996).  :func:`is_shedding_face` tests one face by building
+its deletion.  The recursion needs every shedding face of a node instead,
+so :func:`_shedding_faces` computes all the restriction faces at once with
+the shelling step's sieve (:func:`shelling._sieve`), from ``holders[v]``,
+the bitmask of the facets holding vertex v, and builds no deletion.
 
 A complex is k-decomposable when it is a simplex, or when some face of
 dimension at most k sheds and its deletion and its link are both
@@ -75,7 +77,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .complexes import Face, SimplicialComplex, _holders, face_bits
-from .face_ops import _check_deletable
+from .face_ops import face_deletion
 from .shelling import _sieve, is_shellable
 
 _Memo = dict[tuple[Face, ...], bool]
@@ -98,59 +100,54 @@ def _packed(facets: Sequence[Face]) -> tuple[Face, ...]:
     return tuple(facets)
 
 
-class _Shedding:
-    """The shedding test on a facet list in canonical order.
+def _shedding_faces(facets: Sequence[Face], k: int) -> Iterator[Face]:
+    """The shedding faces of at most k + 1 vertices of a facet list in
+    canonical order, in canonical face order.
 
     ``bad[v]`` is the bitmask of the facets F holding v for which F minus v
-    lies in no other facet; ``rests[i]`` lists the vertices of facet i's
-    restriction face against all the others, as one-vertex faces.  A face
-    sheds iff no facet containing it has one of its vertices in ``bad``."""
-
-    def __init__(self, facets: Sequence[Face]) -> None:
-        n = max(facets).bit_length()
-        verts = [face_bits(f) for f in facets]
-        self.holders = holders = _holders(verts, n)
-        everyone = (1 << len(facets)) - 1
-        # bad is written in the same pass that finds each facet's restriction
-        # face; building it with _holders would take a second pass
-        self.bad = bad = [0] * n
-        self.rests: list[list[Face]] = []
-        for i, vs in enumerate(verts):
-            once = _sieve(holders, everyone ^ 1 << i, vs)
-            rest = []
-            for v in vs:
-                if once & holders[v] != once:
-                    rest.append(1 << v)
-                else:
-                    bad[v] |= 1 << i
-            self.rests.append(rest)
-
-    def sheds(self, face: Face) -> bool:
-        inside, worse = -1, 0
-        for v in face_bits(face):
-            inside &= self.holders[v]
-            worse |= self.bad[v]
-        return not inside & worse
-
-    def faces(self, k: int) -> Iterator[Face]:
-        """The shedding faces of at most k + 1 vertices, in canonical face
-        order; a face of two or more lies in the restriction face of every
-        facet holding it, so only their subsets are tried."""
-        for v, (h, b) in enumerate(zip(self.holders, self.bad)):
-            if h and not b:
-                yield 1 << v
-        for size in range(2, k + 2):
-            tried = {sum(c) for rest in self.rests for c in combinations(rest, size)}
-            if not tried:
-                return
-            yield from sorted(f for f in tried if self.sheds(f))
+    lies in no other facet, and a face sheds iff no facet containing it has
+    one of its vertices in ``bad``.  So a face of two or more vertices lies
+    in the restriction face of every facet holding it, facet i's being its
+    vertices v with bit i clear in ``bad[v]``, and only subsets of those are
+    tried, one size at a time.  Vertices need no restriction face, so k = 0
+    derives none."""
+    n = max(facets).bit_length()
+    verts = [face_bits(f) for f in facets]
+    holders = _holders(verts, n)
+    everyone = (1 << len(facets)) - 1
+    # bad is written in the pass that sieves each facet; building it with
+    # _holders would take a second pass
+    bad = [0] * n
+    for i, vs in enumerate(verts):
+        once = _sieve(holders, everyone ^ 1 << i, vs)
+        for v in vs:
+            if once & holders[v] == once:
+                bad[v] |= 1 << i
+    for v, (h, b) in enumerate(zip(holders, bad)):
+        if h and not b:
+            yield 1 << v
+    if k < 1:
+        return
+    rests = [[1 << v for v in vs if not bad[v] >> i & 1] for i, vs in enumerate(verts)]
+    for size in range(2, k + 2):
+        tried = {sum(c) for rest in rests for c in combinations(rest, size)}
+        if not tried:
+            return
+        shed = []
+        for face in tried:
+            inside, worse = -1, 0
+            for v in face_bits(face):
+                inside &= holders[v]
+                worse |= bad[v]
+            if not inside & worse:
+                shed.append(face)
+        yield from sorted(shed)
 
 
 def is_shedding_face(cplx: SimplicialComplex, face: Face) -> bool:
     """Whether deleting ``face`` loses no facet of the complex.  Raises
     :class:`EmptyFace` or :class:`NotAFace` as :func:`face_deletion` does."""
-    _check_deletable(cplx, face)
-    return _Shedding(cplx.facets).sheds(face)
+    return set(face_deletion(cplx, face).facets) <= set(cplx.facets)
 
 
 def _decomposable(facets: Sequence[Face], k: int, memo: _Memo) -> bool:
@@ -165,7 +162,7 @@ def _decomposable(facets: Sequence[Face], k: int, memo: _Memo) -> bool:
         return _connected([f for f in facets if f.bit_count() == 2])
     cached = memo.get(facets)
     if cached is None:
-        cached = memo[facets] = any(_starts(facets, _Shedding(facets).faces(k), k, memo))
+        cached = memo[facets] = any(_starts(facets, _shedding_faces(facets, k), k, memo))
     return cached
 
 
@@ -231,9 +228,9 @@ def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
     """All faces of dimension at most ``k`` that shed, in canonical face order."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return list(_Shedding(cplx.facets).faces(k))
+    return list(_shedding_faces(cplx.facets, k))
 
 
 def shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
     """Vertices passing :func:`is_shedding_vertex`, in position order."""
-    return list(_starts(cplx.facets, _Shedding(cplx.facets).faces(0), 0, {}))
+    return list(_starts(cplx.facets, _shedding_faces(cplx.facets, 0), 0, {}))

@@ -14,15 +14,6 @@ from .complexes import Face, SimplicialComplex, face_bits
 from .errors import EmptyFace, NotAFace
 
 
-def _check_deletable(cplx: SimplicialComplex, face: Face) -> None:
-    """Raise unless ``face`` is a nonempty face of the complex, as deleting
-    it requires."""
-    if face == 0:
-        raise EmptyFace("cannot delete the empty face")
-    if not cplx.is_face(face):
-        raise NotAFace("face deletion requires a face of the complex")
-
-
 def link(cplx: SimplicialComplex, face: Face) -> SimplicialComplex:
     """Subcomplex of faces disjoint from ``face`` whose union with it is a
     face.  The link of the empty face is the complex itself.
@@ -43,8 +34,12 @@ def face_deletion(cplx: SimplicialComplex, face: Face) -> SimplicialComplex:
     (F containing ``face``, v in ``face``) that lies in no kept facet: the
     constructor drops the others.  Such an F minus v lies under no other one
     and over no kept facet, since F would then lie under another facet.  So
-    ``face`` sheds exactly when no F minus v survives."""
-    _check_deletable(cplx, face)
+    ``face`` sheds exactly when no F minus v survives, and
+    :func:`~shellability.decomposability.is_shedding_face` tests just that."""
+    if face == 0:
+        raise EmptyFace("cannot delete the empty face")
+    if not cplx.is_face(face):
+        raise NotAFace("face deletion requires a face of the complex")
     kept = [f for f in cplx.facets if face & ~f]
     cut = [f & ~(1 << b) for f in cplx.facets if not face & ~f for b in face_bits(face)]
     return SimplicialComplex(cplx.vertices, kept + cut)

@@ -218,7 +218,7 @@ class TestTraversal:
         # no vertex lies in every triangle, so this one is searched; with
         # the deletion tried first and no refutation by a link it took 31
         # calls and 12 classes at k = 0, and 3,455 calls and 721 classes at
-        # k = 1 (fewer calls there, but more shedding indexes)
+        # k = 1 (fewer calls there, but more shedding-face enumerations)
         c = eleven_triangles()
         assert h_vector(c) == (1, 4, 6, 0)
         assert not brute_is_k_decomposable(c, k)
@@ -226,10 +226,11 @@ class TestTraversal:
 
     def test_twenty_facets_one_decomposable(self):
         # a failed link refutes its node at once: the search that tried the
-        # deletion first built 29,517 shedding indexes here (about 1.9 s)
-        with counted_calls(decomposability, "_Shedding", 10) as builds:
+        # deletion first enumerated shedding faces 29,517 times here (about
+        # 1.9 s)
+        with counted_calls(decomposability, "_shedding_faces", 10) as calls:
             assert not is_k_decomposable(twenty_facets(), 1)
-        assert builds[0] == 2
+        assert calls[0] == 2
 
 
 class TestTwoFacets:
@@ -289,19 +290,19 @@ class TestGraphs:
         assert cases == 4347
 
     def test_work_counts(self):
-        # a work count, not a time: a graph node builds no shedding index,
-        # so VD on a path takes none and shedding_vertices on a cycle only
-        # the root's; the exhaustive recursion built 8,326 on this path and
-        # did not finish on the cycle
+        # a work count, not a time: a graph node enumerates no shedding
+        # faces, so VD on a path does so at no node and shedding_vertices on
+        # a cycle only at the root; the exhaustive recursion did so 8,326
+        # times on this path and did not finish on the cycle
         n = 22  # vertex 0 sits mid-path
         path = graph(n, [((p - n // 2) % n, (p + 1 - n // 2) % n) for p in range(n - 1)])
-        with counted_calls(decomposability, "_Shedding", 10) as builds:
+        with counted_calls(decomposability, "_shedding_faces", 10) as calls:
             assert is_vertex_decomposable(path)
-        assert builds[0] == 0
+        assert calls[0] == 0
         cycle = graph(64, [(i, (i + 1) % 64) for i in range(64)])
-        with counted_calls(decomposability, "_Shedding", 10) as builds:
+        with counted_calls(decomposability, "_shedding_faces", 10) as calls:
             assert shedding_vertices(cycle) == [1 << i for i in range(64)]
-        assert builds[0] == 1
+        assert calls[0] == 1
 
 
 class TestHandOff:
@@ -427,7 +428,9 @@ class TestAgainstBruteForce:
     def test_verdicts_and_shedding_lists(self, c):
         for k in range(c.dimension() + 2):
             assert is_k_decomposable(c, k) == brute_is_k_decomposable(c, k)
-            assert shedding_faces(c, k) == brute_shedding_faces(c, k)
+            shed = brute_shedding_faces(c, k)
+            assert shedding_faces(c, k) == shed
+            assert [f for f in all_faces(c, k) if is_shedding_face(c, f)] == shed
         expected = brute_shedding_vertices(c)
         assert shedding_vertices(c) == expected
         assert [v for v in all_faces(c, 0) if is_shedding_vertex(c, v)] == expected
