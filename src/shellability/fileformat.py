@@ -4,12 +4,17 @@
     facets: c e g / b e g / a e f
 
 ``#`` starts a comment.  One ``facets:`` or ``nonfaces:`` line is required.
-Faces are ``/``-separated groups of whitespace-separated labels; ``()``
-denotes the empty face.  The ``vertices:`` line is optional for facet input
-(labels are then collected in first-occurrence order) and required for
-nonface input.  An empty ``facets:`` line would be the void complex, which
-the :class:`~shellability.complexes.SimplicialComplex` constructor refuses
-with ``VoidComplex``.
+Faces are ``/``-separated groups of whitespace-separated labels; empty groups
+are skipped, and ``()`` denotes the empty face.  The ``vertices:`` line is
+optional for facet input (labels are then collected in first-occurrence
+order) and required for nonface input.  An empty ``facets:`` line would be
+the void complex, which the :class:`~shellability.complexes.SimplicialComplex`
+constructor refuses with ``VoidComplex``.
+
+A :class:`~shellability.errors.ParseError` gives a 1-based line and a 1-based
+character column (a tab is one column).  Every CLI call parses its document
+first, and only a malformed one needs a position, so the parser splits the
+text with ``str.split`` and computes a column only when it raises.
 """
 
 from __future__ import annotations
@@ -23,59 +28,13 @@ from . import complexes
 from .complexes import EMPTY_FACE_TOKEN, Face, SimplicialComplex, VertexSet
 from .errors import ParseError
 
-_TOKENS = re.compile(r"[^\s/]+|/")
 
-
-def _parse_tokens(payload: str, lineno: int, offset: int):
-    """Split a directive payload into face segments of (token, column) pairs."""
-    segments: list[list[tuple[str, int]]] = [[]]
-    for match in _TOKENS.finditer(payload):
-        token = match.group()
-        column = offset + match.start() + 1
-        if token == "/":
-            segments.append([])
-        else:
-            segments[-1].append((token, column))
-    for segment in segments:
-        if len(segment) > 1 and any(tok == EMPTY_FACE_TOKEN for tok, _ in segment):
-            raise ParseError(
-                f"{EMPTY_FACE_TOKEN!r} must stand alone in its face", lineno, segment[0][1]
-            )
-    return [s for s in segments if s]
-
-
-def _parse_vertex_labels(payload: str, lineno: int, offset: int) -> list[str]:
-    labels: list[str] = []
-    seen: set[str] = set()
-    for match in _TOKENS.finditer(payload):
-        token = match.group()
-        column = offset + match.start() + 1
-        if token == "/":
-            raise ParseError("'/' is not allowed in the vertex list", lineno, column)
-        if token in seen:
-            raise ParseError(f"duplicate vertex label {token!r}", lineno, column)
-        seen.add(token)
-        labels.append(token)
-    return labels
-
-
-def _vertex_set(labels: Sequence[str], lineno: int) -> VertexSet:
-    try:
-        return VertexSet(tuple(labels))
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno, 1) from exc
-
-
-def _face_from_segment(vset: VertexSet, segment, lineno: int) -> Face:
-    if len(segment) == 1 and segment[0][0] == EMPTY_FACE_TOKEN:
-        return 0
-    mask = 0
-    for token, column in segment:
-        pos = vset.index.get(token)
-        if pos is None:
-            raise ParseError(f"unknown vertex label {token!r}", lineno, column)
-        mask |= 1 << pos
-    return mask
+def _column(payload: str, offset: int, group: int, label: int) -> int:
+    """1-based column of label ``label`` of ``/``-group ``group`` of a
+    directive's payload, which starts after ``offset`` characters."""
+    groups = payload.split("/")
+    start = offset + sum(len(g) + 1 for g in groups[:group])
+    return start + list(re.finditer(r"\S+", groups[group]))[label].start() + 1
 
 
 def parse_complex_with_order(text: str) -> tuple[SimplicialComplex, tuple[Face, ...]]:
@@ -93,6 +52,7 @@ def parse_complex_with_order(text: str) -> tuple[SimplicialComplex, tuple[Face, 
         head, sep, rest = line.partition(":")
         key = head.strip()
         column = len(head) - len(head.lstrip()) + 1
+        offset = len(head) + 1  # the payload's start, counted from 0
         if not sep or key not in ("vertices", "facets", "nonfaces"):
             raise ParseError(
                 "expected a 'vertices:', 'facets:' or 'nonfaces:' line", lineno, column
@@ -100,26 +60,53 @@ def parse_complex_with_order(text: str) -> tuple[SimplicialComplex, tuple[Face, 
         if key == "vertices":
             if vertex_labels is not None:
                 raise ParseError("duplicate 'vertices:' line", lineno, column)
-            vertex_labels = _parse_vertex_labels(rest, lineno, len(head) + 1)
-            vertex_line = lineno
+            labels = rest.split("/")[0].split()
+            if len(set(labels)) < len(labels):
+                j = next(j for j, label in enumerate(labels) if label in labels[:j])
+                column = _column(rest, offset, 0, j)
+                raise ParseError(f"duplicate vertex label {labels[j]!r}", lineno, column)
+            if "/" in rest:
+                column = offset + rest.index("/") + 1
+                raise ParseError("'/' is not allowed in the vertex list", lineno, column)
+            vertex_labels, vertex_line = labels, lineno
         else:
             if body is not None:
                 raise ParseError("duplicate face list", lineno, column)
-            body = (key, rest, lineno, len(head) + 1)
+            body = (key, rest, lineno, offset)
     if body is None:
         raise ParseError("missing 'facets:' or 'nonfaces:' line", max(lineno, 1), 1)
 
     kind, payload, body_line, offset = body
-    segments = _parse_tokens(payload, body_line, offset)
+    groups = [group.split() for group in payload.split("/")]
+    for i, group in enumerate(groups):
+        if len(group) > 1 and EMPTY_FACE_TOKEN in group:
+            message = f"{EMPTY_FACE_TOKEN!r} must stand alone in its face"
+            raise ParseError(message, body_line, _column(payload, offset, i, 0))
     if vertex_labels is None:
         if kind == "nonfaces":
             raise ParseError("nonface input requires a 'vertices:' line", body_line, 1)
         # the labels in first-occurrence order
-        tokens = (token for segment in segments for token, _ in segment)
-        vertex_labels = list(dict.fromkeys(t for t in tokens if t != EMPTY_FACE_TOKEN))
-        vertex_line = body_line
-    vset = _vertex_set(vertex_labels, vertex_line)
-    faces = [_face_from_segment(vset, s, body_line) for s in segments]
+        seen = dict.fromkeys(v for group in groups for v in group if v != EMPTY_FACE_TOKEN)
+        vertex_labels, vertex_line = list(seen), body_line
+    try:
+        vset = VertexSet(tuple(vertex_labels))
+    except ValueError as exc:
+        raise ParseError(str(exc), vertex_line, 1) from exc
+    index = vset.index
+    faces: list[Face] = []
+    for i, group in enumerate(groups):
+        if group == [EMPTY_FACE_TOKEN]:
+            faces.append(0)
+        elif group:
+            mask = 0
+            for label in group:
+                pos = index.get(label)
+                if pos is None:
+                    # the first unknown label is that label's first occurrence
+                    column = _column(payload, offset, i, group.index(label))
+                    raise ParseError(f"unknown vertex label {label!r}", body_line, column)
+                mask |= 1 << pos
+            faces.append(mask)
     if kind == "nonfaces":
         cplx = complexes.from_nonfaces(vset, faces)
         return cplx, cplx.facets

@@ -8,7 +8,7 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import shellability
 from helpers import complexes, vset
@@ -90,6 +90,19 @@ class TestParseComplex:
             ("vertices: a b\nfacets: a ()\n", 2, 9),
             ("vertices: a / b\nfacets: a\n", 1, 13),
             ("vertices: a\nvertices: b\nfacets: a\n", 2, 1),
+            # an unknown label after an empty group, and in a later group
+            ("vertices: a b\nfacets: a b / / b c\n", 2, 19),
+            ("vertices: a b c\nfacets: a / a b / b c d\n", 2, 23),
+            # '()' not standing alone, at its group's first label; it wins
+            # over an unknown label
+            ("vertices: a b\nfacets: a / b () \n", 2, 13),
+            ("facets: a b / b c / c () / x\n", 1, 21),
+            # a tab counts as one column
+            ("  vertices:\ta  b\tc\n facets :  a b /\t/ c\t()\n", 2, 20),
+            # on the vertex line a duplicate before the first '/' wins
+            ("vertices: a a / b\nfacets: a\n", 1, 13),
+            ("vertices: a / a\nfacets: a\n", 1, 13),
+            ("vertices: a ()\nfacets: a\n", 1, 1),
         ):
             with pytest.raises(ParseError) as info:
                 parse_complex(text)
@@ -120,6 +133,18 @@ class TestSerialisation:
     @given(complexes())
     def test_round_trip_is_identity(self, c):
         assert parse_complex(serialize_complex(c)) == c
+
+    @given(complexes(), st.data())
+    def test_round_trip_with_messy_spacing(self, c, data):
+        # runs of spaces and tabs, empty groups, a trailing '/' and a
+        # trailing comment parse as the canonical document does
+        vertices, facets = serialize_complex(c).splitlines()
+        groups = facets.split(" / ")
+        seps = st.sampled_from([" / ", " / / ", " // "])
+        facets = groups[0] + "".join(data.draw(seps) + g for g in groups[1:]) + " / # comment"
+        gap = st.text(" \t", min_size=1, max_size=4)
+        text = "".join(data.draw(gap) if ch == " " else ch for ch in f"{vertices}\n{facets}\n")
+        assert parse_complex_with_order(text) == (c, c.facets)
 
 
 class TestCommands:
@@ -222,7 +247,10 @@ class TestCommands:
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.cplx"
         bad.write_text("vertices: a a\nfacets: a\n")
-        assert run(capsys, "info", str(bad))[0] == 2
+        assert main(["info", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 1, column 13: duplicate vertex label 'a'\n"
 
 
 class TestImport:
