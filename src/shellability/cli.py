@@ -2,10 +2,13 @@
 
 Every command is one entry of ``_COMMANDS``: its help, its flag groups, a
 compute step that returns the report's fields in order, and a text renderer
-of those fields.  With ``--json`` the fields go out as one JSON report, where
-a complex-valued field stands for the complex's description (vertices,
-facets, kind, dimension, purity, f- and h-vector).  The file format is that
-of :mod:`shellability.fileformat`.
+of those fields.  Commands of one shape (a verdict, a shelling-order search,
+an operation at a face) come from one builder, which writes both steps, so
+each report key, text label and operation name is given once, in that
+command's builder call.  With ``--json`` the fields go out as one JSON
+report, where a complex-valued field stands for the complex's description
+(vertices, facets, kind, dimension, purity, f- and h-vector).  The file
+format is that of :mod:`shellability.fileformat`.
 
 Exit codes: 1 when the query answers no (a false verdict, or no shelling
 order), otherwise 0; 2 flags usage or parse errors, 3 domain errors.
@@ -34,7 +37,7 @@ from .decomposability import (
     shedding_vertices,
 )
 from .duality import alexander_dual, linear_quotients_from_shelling, minimal_nonfaces
-from .errors import ComplexError, InvalidPermutation, ParseError
+from .errors import ComplexError, InvalidOrder, ParseError
 from .face_ops import face_deletion, link
 from .fileformat import (  # parse_complex is re-exported, not used here
     _faces_text,
@@ -89,7 +92,7 @@ def _order(args, cplx: SimplicialComplex, parsed_order) -> list[Face] | None:
     if args.permutation is not None:
         indices = args.permutation
         if sorted(indices) != list(range(len(parsed_order))):
-            raise InvalidPermutation(
+            raise InvalidOrder(
                 f"expected a permutation of 0..{len(parsed_order) - 1}, got {indices}"
             )
         return [parsed_order[p] for p in indices]
@@ -98,15 +101,32 @@ def _order(args, cplx: SimplicialComplex, parsed_order) -> list[Face] | None:
     return None
 
 
-def _face_flag(cplx: SimplicialComplex, value: str) -> Face:
-    labels = [tok for tok in re.split(r"[\s,]+", value.strip()) if tok]
-    return cplx.vertices.face(labels)
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    flags: tuple[str, ...]
+    compute: Callable[..., dict]  # (args, complex, facets as parsed) -> report fields
+    text: Callable[..., Iterable[str]]  # (input complex, fields) -> output lines
 
 
-# --- compute steps: (args, complex, facets as parsed) -> report fields ----
+# --- builders, one per command shape: each returns a whole command ---------
 
-def _searched(key: str, detail: Callable) -> Callable:
-    """Fields of a shelling-order search, with ``detail`` of the order found."""
+def _verdict(key: str, decide: Callable, flags: tuple[str, ...] = ()) -> _Command:
+    """A yes/no answer ``decide(args, cplx)`` under ``key``.  Each of
+    ``flags`` is a group of one flag named like it, whose value the report
+    shows before the answer."""
+
+    def compute(args, cplx, _) -> dict:
+        given = {flag: getattr(args, flag) for flag in flags}
+        return {"complex": cplx, **given, key: decide(args, cplx)}
+
+    help = f"exit 0 if {key.replace('_', '-')}, 1 if not"
+    return _Command(help, flags, compute, lambda cplx, fields: [_bool_str(fields[key])])
+
+
+def _searched(help: str, key: str, label: str, detail: Callable) -> _Command:
+    """A shelling-order search, with ``detail(cplx, found)`` of the order
+    found, faces as label sequences, under ``key`` and printed as ``label``."""
 
     def compute(args, cplx, parsed_order) -> dict:
         found = shelling_order(cplx, _order(args, cplx, parsed_order))
@@ -115,11 +135,37 @@ def _searched(key: str, detail: Callable) -> Callable:
         return {
             "complex": cplx,
             "shelling_order": _label_lists(cplx, found.facets),
-            key: detail(cplx, found),
+            key: [list(face) for face in detail(cplx, found)],
         }
 
-    return compute
+    def text(cplx, fields) -> list[str]:
+        if fields["shelling_order"] is None:
+            return ["no shelling order"]
+        return [
+            _line("order", _faces_text(fields["shelling_order"])),
+            _line(label, _faces_text(fields[key])),
+        ]
 
+    return _Command(help, ("order",), compute, text)
+
+
+def _at_face(operation: str, noun: str, op: Callable) -> _Command:
+    """The complex ``op(cplx, face)`` at the ``--face`` labels, printed as a
+    document."""
+
+    def compute(args, cplx, _) -> dict:
+        labels = [tok for tok in re.split(r"[\s,]+", args.face.strip()) if tok]
+        face = cplx.vertices.face(labels)
+        return {
+            "operation": operation,
+            "face": list(cplx.vertices.face_labels(face)),
+            "complex": op(cplx, face),
+        }
+
+    return _Command(f"print the {noun} by --face", ("face",), compute, _complex_text)
+
+
+# --- the other commands' compute steps and text renderers -------------------
 
 def _shedding(args, cplx, _) -> dict:
     fields = {
@@ -132,21 +178,6 @@ def _shedding(args, cplx, _) -> dict:
     return fields
 
 
-def _at_face(operation: str, op: Callable, args, cplx) -> dict:
-    face = _face_flag(cplx, args.face)
-    return {
-        "operation": operation,
-        "face": list(cplx.vertices.face_labels(face)),
-        "complex": op(cplx, face),
-    }
-
-
-def _quotients(cplx, found) -> list[list[str]]:
-    return [list(s) for s in linear_quotients_from_shelling(cplx, list(found.facets))]
-
-
-# --- text renderers: (input complex, fields) -> output lines --------------
-
 def _info_text(cplx, fields) -> Iterable[str]:
     info = _describe(cplx)
     yield f"name: {fields['name']}"
@@ -157,22 +188,6 @@ def _info_text(cplx, fields) -> Iterable[str]:
     yield _line("facets", _faces_text(info["facets"]))
     yield _line("f-vector", " ".join(map(str, info["f_vector"])))
     yield _line("h-vector", " ".join(map(str, info["h_vector"])))
-
-
-def _verdict_text(key: str) -> Callable:
-    return lambda cplx, fields: [_bool_str(fields[key])]
-
-
-def _order_text(key: str, label: str) -> Callable:
-    def text(cplx, fields) -> list[str]:
-        if fields["shelling_order"] is None:
-            return ["no shelling order"]
-        return [
-            _line("order", _faces_text(fields["shelling_order"])),
-            _line(label, _faces_text(fields[key])),
-        ]
-
-    return text
 
 
 def _shedding_text(cplx, fields) -> Iterable[str]:
@@ -189,48 +204,27 @@ def _nonfaces_text(cplx, fields) -> list[str]:
     return serialize_nonfaces(cplx, minimal_nonfaces(cplx).gens).splitlines()
 
 
-@dataclass(frozen=True)
-class _Command:
-    help: str
-    flags: tuple[str, ...]
-    compute: Callable[..., dict]
-    text: Callable[..., Iterable[str]]
-
-
+# Library functions are called from lambdas, so each is looked up in this
+# module when its command runs, and a wrapper installed here (bench/spans.py)
+# sees the call.
 _COMMANDS = {
     "info": _Command(
         "print the complex and its invariants", (),
-        lambda args, cplx, _: {"complex": cplx},
-        _info_text,
+        lambda args, cplx, _: {"complex": cplx}, _info_text,
     ),
-    "shellable": _Command(
-        "exit 0 if shellable, 1 if not", (),
-        lambda args, cplx, _: {"complex": cplx, "shellable": is_shellable(cplx)},
-        _verdict_text("shellable"),
+    "shellable": _verdict("shellable", lambda args, cplx: is_shellable(cplx)),
+    "shelling-order": _searched(
+        "search for a shelling order", "restrictions", "restrictions",
+        lambda cplx, found: map(cplx.vertices.face_labels, found.restrictions),
     ),
-    "shelling-order": _Command(
-        "search for a shelling order", ("order",),
-        _searched("restrictions", lambda c, found: _label_lists(c, found.restrictions)),
-        _order_text("restrictions", "restrictions"),
+    "vertex-decomposable": _verdict(
+        "vertex_decomposable", lambda args, cplx: is_vertex_decomposable(cplx)
     ),
-    "vertex-decomposable": _Command(
-        "exit 0 if vertex-decomposable, 1 if not", (),
-        lambda args, cplx, _: {
-            "complex": cplx, "vertex_decomposable": is_vertex_decomposable(cplx),
-        },
-        _verdict_text("vertex_decomposable"),
-    ),
-    "k-decomposable": _Command(
-        "exit 0 if k-decomposable, 1 if not", ("k",),
-        lambda args, cplx, _: {
-            "complex": cplx, "k": args.k,
-            "k_decomposable": is_k_decomposable(cplx, args.k),
-        },
-        _verdict_text("k_decomposable"),
+    "k-decomposable": _verdict(
+        "k_decomposable", lambda args, cplx: is_k_decomposable(cplx, args.k), ("k",)
     ),
     "shedding": _Command(
-        "list shedding faces (and vertices when --k 0)", ("k",),
-        _shedding, _shedding_text,
+        "list shedding faces (and vertices when --k 0)", ("k",), _shedding, _shedding_text
     ),
     "dual": _Command(
         "print the Alexander dual complex", (),
@@ -245,20 +239,13 @@ _COMMANDS = {
         },
         _nonfaces_text,
     ),
-    "link": _Command(
-        "print the link by --face", ("face",),
-        lambda args, cplx, _: _at_face("link", link, args, cplx),
-        _complex_text,
+    "link": _at_face("link", "link", lambda cplx, face: link(cplx, face)),
+    "delete": _at_face(
+        "delete", "face deletion", lambda cplx, face: face_deletion(cplx, face)
     ),
-    "delete": _Command(
-        "print the face deletion by --face", ("face",),
-        lambda args, cplx, _: _at_face("delete", face_deletion, args, cplx),
-        _complex_text,
-    ),
-    "linear-quotients": _Command(
-        "linear quotient steps of a found shelling order", ("order",),
-        _searched("linear_quotients", _quotients),
-        _order_text("linear_quotients", "quotients"),
+    "linear-quotients": _searched(
+        "linear quotient steps of a found shelling order", "linear_quotients", "quotients",
+        lambda cplx, found: linear_quotients_from_shelling(cplx, list(found.facets)),
     ),
 }
 

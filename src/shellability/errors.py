@@ -33,11 +33,8 @@ class EmptyFace(ComplexError):
 
 
 class InvalidOrder(ComplexError):
-    """A facet sequence is not a permutation of the facets, or fails to shell."""
-
-
-class InvalidPermutation(ComplexError):
-    """A CLI ``--permutation`` does not permute the indices 0..n-1 of the
+    """A facet sequence is not a permutation of the facets, or fails to shell;
+    or a CLI ``--permutation`` does not permute the indices 0..n-1 of the
     facets as parsed."""
 
 

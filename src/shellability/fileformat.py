@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 # complexes are built through the module, so wrappers installed on it
 # (bench/spans.py) see the construction as its own layer
 from . import complexes
-from .complexes import EMPTY_FACE_TOKEN, Face, SimplicialComplex, VertexSet
+from .complexes import EMPTY_FACE_TOKEN, MAX_VERTICES, Face, SimplicialComplex, VertexSet
 from .errors import ParseError
 
 
@@ -41,7 +41,7 @@ def parse_complex_with_order(text: str) -> tuple[SimplicialComplex, tuple[Face, 
     """Parse, also returning the facets in first-appearance order (canonical
     order for nonface input, which lists no facets)."""
     vertex_labels: list[str] | None = None
-    vertex_line = 0
+    vertex_at: tuple[str, int, int] = ("", 0, 0)  # payload, offset, line of the labels
     body: tuple[str, str, int, int] | None = None
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -68,7 +68,7 @@ def parse_complex_with_order(text: str) -> tuple[SimplicialComplex, tuple[Face, 
             if "/" in rest:
                 column = offset + rest.index("/") + 1
                 raise ParseError("'/' is not allowed in the vertex list", lineno, column)
-            vertex_labels, vertex_line = labels, lineno
+            vertex_labels, vertex_at = labels, (rest, offset, lineno)
         else:
             if body is not None:
                 raise ParseError("duplicate face list", lineno, column)
@@ -87,11 +87,18 @@ def parse_complex_with_order(text: str) -> tuple[SimplicialComplex, tuple[Face, 
             raise ParseError("nonface input requires a 'vertices:' line", body_line, 1)
         # the labels in first-occurrence order
         seen = dict.fromkeys(v for group in groups for v in group if v != EMPTY_FACE_TOKEN)
-        vertex_labels, vertex_line = list(seen), body_line
+        vertex_labels, vertex_at = list(seen), (payload, offset, body_line)
     try:
         vset = VertexSet(tuple(vertex_labels))
     except ValueError as exc:
-        raise ParseError(str(exc), vertex_line, 1) from exc
+        # the label the message names, the first past the limit or else '()',
+        # at its first occurrence on the line the labels were taken from
+        label = (vertex_labels[MAX_VERTICES:] or [EMPTY_FACE_TOKEN])[0]
+        source, source_offset, line = vertex_at
+        split = [group.split() for group in source.split("/")]
+        i = next(i for i, group in enumerate(split) if label in group)
+        column = _column(source, source_offset, i, split[i].index(label))
+        raise ParseError(str(exc), line, column) from exc
     index = vset.index
     faces: list[Face] = []
     for i, group in enumerate(groups):

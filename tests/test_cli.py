@@ -86,6 +86,8 @@ class TestParseComplex:
             parse_complex("vertices: a\n")
         with pytest.raises(ParseError):
             parse_complex("facets: a\nfacets: b\n")
+        many_vertices = "vertices: " + " ".join(f"v{i}" for i in range(65)) + "\nfacets: v0\n"
+        many_facets = "facets: " + " / ".join(f"v{i} v{i + 1}" for i in range(64)) + " / v64\n"
         for text, line, column in (
             ("vertices: a b\nfacets: a ()\n", 2, 9),
             ("vertices: a / b\nfacets: a\n", 1, 13),
@@ -102,7 +104,10 @@ class TestParseComplex:
             # on the vertex line a duplicate before the first '/' wins
             ("vertices: a a / b\nfacets: a\n", 1, 13),
             ("vertices: a / a\nfacets: a\n", 1, 13),
-            ("vertices: a ()\nfacets: a\n", 1, 1),
+            ("vertices: a ()\nfacets: a\n", 1, 13),
+            # a 65th label, on the vertex line and first met on the face list
+            (many_vertices, 1, many_vertices.index("v64") + 1),
+            (many_facets, 1, many_facets.index("v64") + 1),
         ):
             with pytest.raises(ParseError) as info:
                 parse_complex(text)
@@ -214,10 +219,14 @@ class TestCommands:
         bad.write_text("facets:\n")
         assert run(capsys, "info", str(bad))[0] == 3
         assert run(capsys, "link", "--face", "zz", DEMO)[0] == 3
-        code, _ = run(
-            capsys, "shelling-order", "--permutation", "0,0,1,2,3,4,5,6", DEMO
-        )
-        assert code == 3
+        capsys.readouterr()
+        # out of range, negative and repeated indices
+        for given in ("0,1,2,3,4,5,6,99", "-1,0,1,2,3,4,5,6", "0,0,1,2,3,4,5,6"):
+            assert main(["shelling-order", f"--permutation={given}", DEMO]) == 3
+            got = ", ".join(given.split(","))
+            assert capsys.readouterr() == (
+                "", f"error: expected a permutation of 0..7, got ({got})\n"
+            )
 
     def test_info_on_void_complex_prints_nothing(self, capsys, tmp_path):
         void = tmp_path / "void.cplx"
@@ -251,6 +260,51 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: line 1, column 13: duplicate vertex label 'a'\n"
+
+
+class TestHelp:
+    def test_help_strings_defaults_and_metavars(self):
+        # (flag or positional, help, default, metavar) of each command's
+        # arguments, taken from the parser
+        common = [
+            ("--help", "show this help message and exit", argparse.SUPPRESS, None),
+            ("source", "complex file, or - for stdin", None, None),
+            ("--json", "emit a JSON report", False, None),
+        ]
+        order = [
+            ("--random", "shuffle the facets before searching", False, None),
+            ("--seed", "64-bit seed for --random (default 0)", 0, None),
+            ("--permutation", "facet permutation; indices refer to the facets as parsed",
+             None, "CSV"),
+        ]
+        k = [("--k", "maximum shedding-face dimension (default 0)", 0, None)]
+        face = [("--face", "face given as space- or comma-separated labels", "", "LABELS")]
+        expected = [
+            ("info", "print the complex and its invariants", []),
+            ("shellable", "exit 0 if shellable, 1 if not", []),
+            ("shelling-order", "search for a shelling order", order),
+            ("vertex-decomposable", "exit 0 if vertex-decomposable, 1 if not", []),
+            ("k-decomposable", "exit 0 if k-decomposable, 1 if not", k),
+            ("shedding", "list shedding faces (and vertices when --k 0)", k),
+            ("dual", "print the Alexander dual complex", []),
+            ("nonfaces", "print the minimal nonfaces", []),
+            ("link", "print the link by --face", face),
+            ("delete", "print the face deletion by --face", face),
+            ("linear-quotients", "linear quotient steps of a found shelling order", order),
+        ]
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        helps = {a.dest: a.help for a in sub._choices_actions}
+        actual = [
+            (name, helps[name], [
+                (a.option_strings[-1] if a.option_strings else a.dest,
+                 a.help, a.default, a.metavar)
+                for a in parser._actions
+            ])
+            for name, parser in sub.choices.items()
+        ]
+        assert actual == [(name, text, common + flags) for name, text, flags in expected]
 
 
 class TestImport:
