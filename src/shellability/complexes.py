@@ -25,18 +25,38 @@ MAX_VERTICES = 64  # one machine word per face
 EMPTY_FACE_TOKEN = "()"  # prints the empty face in the file format
 
 
+def _byte_table(low: int) -> list[tuple[int, ...]]:
+    """Entry b: the set positions of byte b, taken as the byte whose lowest
+    bit is position ``low``, in ascending order.  Built by doubling: each bit
+    appends a copy of the table so far with that bit added."""
+    table: list[tuple[int, ...]] = [()]
+    for bit in range(low, low + 8):
+        table += [t + (bit,) for t in table]
+    return table
+
+
+_BITS = [_byte_table(low) for low in range(0, 64, 8)]  # one table per byte of a word
+
+
 def face_bits(face: Face) -> list[int]:
     """The set bit positions of ``face`` in ascending order.  The result is a
     list, so it can be iterated as often as needed.  A negative ``face`` has
-    infinitely many set bits and raises :class:`ValueError`."""
+    infinitely many set bits and raises :class:`ValueError`.
+
+    Each byte is one lookup in a table of its 256 bit patterns (``_BITS``,
+    built once at import), so no loop runs per bit; past 64 bits the rest of
+    the face is decoded the same way, 64 positions up."""
     if face < 0:
         raise ValueError(f"a face is a nonnegative bitmask, got {face}")
-    out = []
-    while face:
-        low = face & -face
-        out.append(low.bit_length() - 1)
-        face ^= low
-    return out
+    if face < 256:
+        return list(_BITS[0][face])
+    out: list[int] = []
+    for table in _BITS:
+        if not face:
+            break
+        out += table[face & 255]
+        face >>= 8
+    return out + [b + 64 for b in face_bits(face)] if face else out
 
 
 def _holders(vertex_lists: Iterable[list[int]], n: int) -> list[int]:
@@ -50,11 +70,6 @@ def _holders(vertex_lists: Iterable[list[int]], n: int) -> list[int]:
         for v in verts:
             holders[v] |= bit
     return holders
-
-
-def face_sort_key(face: Face) -> tuple[int, int]:
-    """Canonical face order: cardinality ascending, then bit pattern."""
-    return (face.bit_count(), face)
 
 
 @dataclass(frozen=True)
@@ -108,9 +123,9 @@ class VertexSet:
 
     def face_labels(self, face: Face) -> tuple[str, ...]:
         """Labels of a face, in position order."""
-        if face < 0 or face & ~self.full_face:
+        if face < 0 or face >> self.n:
             raise InvalidVertex("face uses positions outside the vertex set")
-        return tuple(self.labels[b] for b in face_bits(face))
+        return tuple(map(self.labels.__getitem__, face_bits(face)))
 
 
 class Kind(Enum):
@@ -243,13 +258,21 @@ def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
     reaches is minimal.  The vertices of the branched member leave the
     candidates and each comes back only after its own subtree, so each
     minimal transversal is reached once.  Sets of members are bitmasks over
-    their positions in the family.
+    their positions in the family.  The candidates start as the members'
+    union, whose length sizes the per-vertex index, and the transversals are
+    put in canonical face order by two stable sorts on C-level keys (value,
+    then size).
 
     The empty family has the single minimal transversal 0; a family holding
-    the empty set has none.
+    the empty set has none; a negative member raises :class:`ValueError`.
     """
     family = sorted(sets, key=int.bit_count)
-    holders = _holders(map(face_bits, family), max(family, default=0).bit_length())
+    union = 0  # the candidate vertices: those of some member
+    for member in family:
+        union |= member
+    if union < 0:
+        raise ValueError("a set is a nonnegative bitmask, got a negative member")
+    holders = _holders(map(face_bits, family), union.bit_length())
     found: list[int] = []
 
     def mmcs(chosen: int, cand: int, unhit: int, crit: list[int]) -> None:
@@ -261,13 +284,16 @@ def minimal_hitting_sets(sets: Iterable[int]) -> list[int]:
         cand &= ~branch
         for b in face_bits(branch):
             hit = holders[b]
+            # c ^ c & hit costs the length of c; c & ~hit would build the
+            # complement of hit, as long as the family, for every c
             kept = [c ^ c & hit for c in crit]
             if all(kept):
-                mmcs(chosen | 1 << b, cand, unhit ^ unhit & hit, kept + [unhit & hit])
+                kept.append(unhit & hit)
+                mmcs(chosen | 1 << b, cand, unhit ^ unhit & hit, kept)
             cand |= 1 << b
 
-    mmcs(0, sum(1 << b for b, h in enumerate(holders) if h), (1 << len(family)) - 1, [])
-    return sorted(found, key=face_sort_key)
+    mmcs(0, union, (1 << len(family)) - 1, [])
+    return sorted(sorted(found), key=int.bit_count)  # stable: canonical face order
 
 
 def from_nonfaces(vertices: VertexSet, nonfaces: Iterable[Face]) -> SimplicialComplex:
@@ -339,7 +365,7 @@ def all_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
         bits = [1 << b for b in face_bits(facet)]
         for size in range(1, min(k + 1, len(bits)) + 1):
             faces.update(map(sum, combinations(bits, size)))
-    return sorted(faces, key=face_sort_key)
+    return sorted(sorted(faces), key=int.bit_count)  # stable: canonical face order
 
 
 def facet_permutation(cplx: SimplicialComplex, order: Iterable[Face]) -> list[Face]:

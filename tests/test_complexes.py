@@ -52,7 +52,28 @@ class TestFaceBits:
         assert face_bits(0b10110) == [1, 2, 4]
         assert face_bits(1 << 63) == [63]
 
-    @pytest.mark.parametrize("call", ["face_bits(-1)", "minimal_hitting_sets([-2])"])
+    @staticmethod
+    def oracle(x):
+        return [i for i in range(x.bit_length()) if x >> i & 1]
+
+    @pytest.mark.parametrize(
+        "x", [255, 256, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**200 | 2**64 | 5]
+    )
+    def test_byte_and_word_edges(self, x):
+        # the last one-byte face, the first two-byte one, the top bit of a
+        # word, a full word, and the first faces past 64 bits
+        assert face_bits(x) == self.oracle(x)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**130))
+    def test_matches_bit_by_bit_oracle(self, x):
+        assert face_bits(x) == self.oracle(x)
+
+    # a negative member after one with a higher bit: its union is -2, whose
+    # length is too short to index the first member's vertex 3
+    @pytest.mark.parametrize(
+        "call", ["face_bits(-1)", "minimal_hitting_sets([-2])", "minimal_hitting_sets([8, -2])"]
+    )
     def test_negative_raises(self, call):
         # a child process with a timeout, since a loop that misses the guard
         # never returns

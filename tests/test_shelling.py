@@ -88,6 +88,21 @@ class TestMinimalHittingSets:
             )
             assert minimal_hitting_sets(family) == expected
 
+    def test_positions_spread_across_bytes(self):
+        # members on at most 10 positions drawn from 0..139, so the
+        # candidates and the per-vertex index reach past one byte and one word
+        rng = random.Random(4343)
+        for _ in range(200):
+            positions = rng.sample(range(140), rng.randint(1, 10))
+            family = [
+                sum(1 << b for b in rng.sample(positions, rng.randint(1, len(positions))))
+                for _ in range(rng.randint(1, 7))
+            ]
+            expected = sorted(
+                brute_minimal_hitting_sets(family), key=lambda t: (t.bit_count(), t)
+            )
+            assert minimal_hitting_sets(family) == expected
+
 
 class TestIsShellingOrder:
     def test_session_orders(self, demo):
