@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,8 +60,8 @@ def _label_lists(cplx: SimplicialComplex, faces: Sequence[Face]) -> list[list[st
 def _describe(cplx: SimplicialComplex) -> dict:
     return {
         "vertices": list(cplx.vertices.labels),
-        "facets": [list(f) for f in cplx.facet_labels()],
-        "kind": cplx.kind.value,
+        "facets": _label_lists(cplx, cplx.facets),
+        "kind": cplx.kind,
         "dimension": cplx.dimension(),
         "pure": is_pure(cplx),
         "f_vector": list(f_vector(cplx)),
@@ -154,8 +153,7 @@ def _at_face(operation: str, noun: str, op: Callable) -> _Command:
     document."""
 
     def compute(args, cplx, _) -> dict:
-        labels = [tok for tok in re.split(r"[\s,]+", args.face.strip()) if tok]
-        face = cplx.vertices.face(labels)
+        face = cplx.vertices.face(args.face.replace(",", " ").split())
         return {
             "operation": operation,
             "face": list(cplx.vertices.face_labels(face)),

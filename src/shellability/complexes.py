@@ -9,7 +9,6 @@ equality, hashing, and search results reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
@@ -59,6 +58,14 @@ def face_bits(face: Face) -> list[int]:
     return out + [b + 64 for b in face_bits(face)] if face else out
 
 
+def _valid_label(label: str) -> bool:
+    """A vertex label is one token of the file format: nonempty, not ``()``,
+    and free of whitespace, of ``/`` and ``#``, which separate faces and
+    start comments, and of ``,``, which separates the labels of ``--face``."""
+    reserved = "/" in label or "#" in label or "," in label
+    return label.split() == [label] and label != EMPTY_FACE_TOKEN and not reserved
+
+
 def _holders(vertex_lists: Iterable[list[int]], n: int) -> list[int]:
     """The positional bitmask index of a family given by its members' key
     lists, keys in 0..n-1: entry v is the bitmask of the positions in the
@@ -87,13 +94,7 @@ class VertexSet:
             )
         seen: set[str] = set()
         for label in self.labels:
-            if (
-                not label
-                or label == EMPTY_FACE_TOKEN
-                or "/" in label
-                or "#" in label
-                or any(ch.isspace() for ch in label)
-            ):
+            if not _valid_label(label):
                 raise ValueError(f"invalid vertex label {label!r}")
             if label in seen:
                 raise ValueError(f"duplicate vertex label {label!r}")
@@ -128,15 +129,6 @@ class VertexSet:
         return tuple(map(self.labels.__getitem__, face_bits(face)))
 
 
-class Kind(Enum):
-    """The irrelevant complex has only the empty face; every other complex is
-    proper.  There is no void kind: :class:`SimplicialComplex` refuses an
-    empty face list, which is the void complex."""
-
-    IRRELEVANT = "irrelevant"  # only the empty face
-    PROPER = "proper"
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A complex stored as its facets, in canonical order.
@@ -148,7 +140,10 @@ class SimplicialComplex:
     canonical facet order, and refuses an empty result (the void complex)
     with :class:`VoidComplex`.  So every complex has at least one facet,
     hence at least the empty face, and its facets are an antichain within
-    its vertex set.
+    its vertex set.  The largest facet comes first and the smallest last,
+    so :meth:`dimension` and :func:`is_pure` read them off the ends, and
+    :attr:`kind` is the string ``"irrelevant"`` when the empty face is the
+    only facet, else ``"proper"`` (there is no void kind).
 
     Two values are computed on first use and kept on the instance: the
     f-vector (read by :func:`f_vector` and :func:`h_vector`) and the minimal
@@ -165,18 +160,18 @@ class SimplicialComplex:
             raise VoidComplex("no faces given: the void complex is not supported")
 
     @property
-    def kind(self) -> Kind:
-        """Irrelevant when the only face is the empty one, else proper."""
-        return Kind.IRRELEVANT if self.facets == (0,) else Kind.PROPER
+    def kind(self) -> str:
+        """``"irrelevant"`` when the only face is the empty one, else
+        ``"proper"``."""
+        return "irrelevant" if self.facets == (0,) else "proper"
 
     def dimension(self) -> int:
-        return max(f.bit_count() for f in self.facets) - 1
+        """One less than the size of the first facet, which canonical facet
+        order makes a largest one."""
+        return self.facets[0].bit_count() - 1
 
     def is_face(self, face: Face) -> bool:
         return any(face & ~facet == 0 for facet in self.facets)
-
-    def facet_labels(self) -> list[tuple[str, ...]]:
-        return [self.vertices.face_labels(f) for f in self.facets]
 
     @cached_property
     def _f_vector(self) -> FVector:
@@ -343,8 +338,9 @@ def h_vector(cplx: SimplicialComplex) -> HVector:
 
 
 def is_pure(cplx: SimplicialComplex) -> bool:
-    """True when all facets have equal cardinality."""
-    return len({f.bit_count() for f in cplx.facets}) <= 1
+    """True when all facets have equal cardinality: canonical facet order
+    puts a largest facet first and a smallest last, so those two decide."""
+    return cplx.facets[0].bit_count() == cplx.facets[-1].bit_count()
 
 
 def is_simplex(cplx: SimplicialComplex) -> bool:

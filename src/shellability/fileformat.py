@@ -19,7 +19,6 @@ text with ``str.split`` and computes a column only when it raises.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Sequence
 
 # complexes are built through the module, so wrappers installed on it
@@ -34,7 +33,8 @@ def _column(payload: str, offset: int, group: int, label: int) -> int:
     directive's payload, which starts after ``offset`` characters."""
     groups = payload.split("/")
     start = offset + sum(len(g) + 1 for g in groups[:group])
-    return start + list(re.finditer(r"\S+", groups[group]))[label].start() + 1
+    text = groups[group]  # split's last piece starts at label ``label``
+    return start + len(text) - len(text.split(None, label)[label]) + 1
 
 
 def parse_complex_with_order(text: str) -> tuple[SimplicialComplex, tuple[Face, ...]]:
@@ -91,9 +91,10 @@ def parse_complex_with_order(text: str) -> tuple[SimplicialComplex, tuple[Face, 
     try:
         vset = VertexSet(tuple(vertex_labels))
     except ValueError as exc:
-        # the label the message names, the first past the limit or else '()',
-        # at its first occurrence on the line the labels were taken from
-        label = (vertex_labels[MAX_VERTICES:] or [EMPTY_FACE_TOKEN])[0]
+        # the label refused, the first past the limit or else the first
+        # invalid one, at its first occurrence on the line the labels came from
+        refused = [v for v in vertex_labels if not complexes._valid_label(v)]
+        label = (vertex_labels[MAX_VERTICES:] or refused)[0]
         source, source_offset, line = vertex_at
         split = [group.split() for group in source.split("/")]
         i = next(i for i, group in enumerate(split) if label in group)

@@ -31,7 +31,6 @@ from helpers import (
 )
 from shellability import (
     InvalidOrder,
-    Kind,
     MonomialSet,
     alexander_dual,
     dual_ideal_generators,
@@ -137,7 +136,7 @@ def test_criterion_4_invariant_suite_on_random_complexes():
                 nonpure_count += 1
 
             # (a) dual involution
-            if cplx.kind is Kind.PROPER and cplx.facets != (
+            if cplx.kind == "proper" and cplx.facets != (
                 cplx.vertices.full_face,
             ):
                 assert alexander_dual(alexander_dual(cplx)) == cplx

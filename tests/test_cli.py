@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import shellability
-from helpers import complexes, vset
+from helpers import complexes, label_sets, vset
 from shellability import (
-    Kind,
     ParseError,
     VoidComplex,
     from_facets,
@@ -43,9 +42,7 @@ class TestParseComplex:
         parsed = parse_complex(text)
         # labels are collected in first-occurrence order (c, e, g, b, ...)
         assert parsed.vertices.labels == tuple("cegbadf")
-        assert {frozenset(f) for f in parsed.facet_labels()} == {
-            frozenset(f) for f in demo.facet_labels()
-        }
+        assert label_sets(parsed, parsed.facets) == label_sets(demo, demo.facets)
 
     def test_nonface_input(self, demo):
         text = (
@@ -56,12 +53,12 @@ class TestParseComplex:
 
     def test_empty_face_token(self):
         parsed = parse_complex("vertices: a b\nfacets: ()")
-        assert parsed.kind is Kind.IRRELEVANT
+        assert parsed.kind == "irrelevant"
 
     def test_comments_and_blank_lines(self):
         text = "# comment\n\nvertices: a b  # trailing\nfacets: a b\n"
         parsed = parse_complex(text)
-        assert parsed.facet_labels() == [("a", "b")]
+        assert [parsed.vertices.face_labels(f) for f in parsed.facets] == [("a", "b")]
 
     def test_parsed_order_tracks_first_appearance(self):
         text = "facets: b c / a b / a\n"
@@ -108,6 +105,10 @@ class TestParseComplex:
             # a 65th label, on the vertex line and first met on the face list
             (many_vertices, 1, many_vertices.index("v64") + 1),
             (many_facets, 1, many_facets.index("v64") + 1),
+            # a label holding ',', on the vertex line and first met on the
+            # face list
+            ("vertices: c a,b\nfacets: c\n", 1, 13),
+            ("facets: c / a,b c / a,b\n", 1, 13),
         ):
             with pytest.raises(ParseError) as info:
                 parse_complex(text)
@@ -160,11 +161,14 @@ class TestCommands:
         assert "h-vector: 1 4 3 0" in out
         assert "pure: true" in out
 
-    def test_info_json(self, capsys):
+    def test_info_json(self, capsys, monkeypatch):
         code, out = run(capsys, "info", "--json", DEMO)
         report = json.loads(out)
         assert report["f_vector"] == [1, 7, 14, 8]
         assert report["kind"] == "proper"
+        monkeypatch.setattr(sys, "stdin", io.StringIO("vertices: a b\nfacets: ()\n"))
+        code, out = run(capsys, "info", "--json", "-")
+        assert json.loads(out)["kind"] == "irrelevant"
 
     def test_boolean_exit_codes(self, capsys):
         assert run(capsys, "shellable", DEMO)[0] == 0
@@ -206,13 +210,19 @@ class TestCommands:
         assert code == 0
         assert "shedding vertices: a b c" in out
 
+    def test_face_separators(self, capsys):
+        # commas and whitespace separate --face labels alike
+        faces = ("a,e", "a e", " a , e ")
+        outs = {run(capsys, "link", "--face", face, DEMO) for face in faces}
+        assert outs == {(0, "vertices: a b c d e f g\nfacets: f / g\n")}
+
     def test_dual_output_reparses(self, capsys, demo):
         code, out = run(capsys, "dual", DEMO)
         assert code == 0
         dual = parse_complex(out)
         code, out = run(capsys, "nonfaces", DEMO)
         assert parse_complex(out) == demo
-        assert dual.kind is Kind.PROPER
+        assert dual.kind == "proper"
 
     def test_domain_error_exit_codes(self, capsys, tmp_path):
         bad = tmp_path / "void.cplx"
@@ -260,6 +270,11 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: line 1, column 13: duplicate vertex label 'a'\n"
+        # a label holding ',' parses nowhere, since --face could not name it
+        bad.write_text("vertices: a,b c d\nfacets: c d\n")
+        assert main(["info", str(bad)]) == 2
+        err = "error: line 1, column 11: invalid vertex label 'a,b'\n"
+        assert capsys.readouterr() == ("", err)
 
 
 class TestHelp:

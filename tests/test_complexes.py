@@ -27,7 +27,6 @@ from helpers import (
 from shellability import (
     InvalidNonface,
     InvalidVertex,
-    Kind,
     SimplicialComplex,
     VertexSet,
     VoidComplex,
@@ -107,6 +106,13 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             VertexSet(("a", ""))
 
+    def test_reserved_characters_rejected(self):
+        # '()' is the empty face, '/' and '#' separate faces and start
+        # comments, ',' separates --face labels, whitespace separates labels
+        for label in ("()", "a/b", "a#", ",", "a,b", "a b", "a\tb", "\u00a0"):
+            with pytest.raises(ValueError, match="invalid vertex label"):
+                VertexSet(("a", label))
+
     def test_capacity(self):
         VertexSet(tuple(f"v{i}" for i in range(64)))
         with pytest.raises(ValueError):
@@ -122,7 +128,7 @@ class TestVertexSet:
 
 class TestFromFacets:
     def test_demo_facets(self, demo):
-        assert demo.kind is Kind.PROPER
+        assert demo.kind == "proper"
         assert label_sets(demo, demo.facets) == {
             frozenset(w) for w in "ceg beg aeg bdg adg cef bef aef".split()
         }
@@ -153,8 +159,8 @@ class TestFromFacets:
     def test_constructor_sorts(self):
         c = SimplicialComplex(vset("abcd"), iter((0b1000, 0b0110, 0b0101)))
         assert c.facets == (0b0101, 0b0110, 0b1000)
-        assert c.kind is Kind.PROPER
-        assert SimplicialComplex(vset("ab"), [0]).kind is Kind.IRRELEVANT
+        assert c.kind == "proper"
+        assert SimplicialComplex(vset("ab"), [0]).kind == "irrelevant"
 
     def test_constructor_maximalises(self):
         # ab and its own vertex a, given as facets: the faces are those of
@@ -167,11 +173,11 @@ class TestFromFacets:
 
     def test_irrelevant(self):
         c = from_facets(vset("abc"), [0])
-        assert c.kind is Kind.IRRELEVANT and c.facets == (0,)
+        assert c.kind == "irrelevant" and c.facets == (0,)
 
     def test_empty_face_absorbed(self):
         c = from_facets(vset("abc"), [0, 0b001])
-        assert c.kind is Kind.PROPER and c.facets == (0b001,)
+        assert c.kind == "proper" and c.facets == (0b001,)
 
     def test_out_of_range_face(self):
         with pytest.raises(InvalidVertex):
@@ -180,9 +186,17 @@ class TestFromFacets:
             with pytest.raises(InvalidVertex, match=r"outside 0\.\.1"):
                 SimplicialComplex(vset("ab"), [0b01, face])
 
-    @given(complexes())
-    def test_idempotent(self, c):
-        assert from_facets(c.vertices, c.facets) == c
+    @given(st.one_of(complexes(), st.just(from_facets(vset("ab"), [0]))), st.data())
+    def test_idempotent(self, c, data):
+        # facets handed over in any order; dimension, purity and kind read
+        # the ends of the canonical order, so check them against every facet
+        given = data.draw(st.permutations(c.facets))
+        rebuilt = from_facets(c.vertices, given)
+        assert rebuilt == c
+        sizes = {f.bit_count() for f in given}
+        assert rebuilt.dimension() == max(sizes) - 1
+        assert is_pure(rebuilt) == (len(sizes) == 1)
+        assert rebuilt.kind == ("irrelevant" if given == [0] else "proper")
 
     @given(st.data())
     def test_matches_brute_maximal(self, data):
@@ -268,7 +282,7 @@ class TestFromNonfaces:
 
     @given(complexes(max_vertices=7))
     def test_round_trip_with_minimal_nonfaces(self, c):
-        if c.kind is not Kind.PROPER:
+        if c.kind != "proper":
             return
         assert from_nonfaces(c.vertices, minimal_nonfaces(c).gens) == c
 

@@ -27,7 +27,6 @@ from helpers import (
 )
 from shellability import (
     InvalidOrder,
-    Kind,
     MonomialSet,
     VertexSet,
     VoidDual,
@@ -122,7 +121,7 @@ class TestAlexanderDual:
         }
 
     def test_triangle_boundary_dual_is_irrelevant(self, tri_boundary):
-        assert alexander_dual(tri_boundary).kind is Kind.IRRELEVANT
+        assert alexander_dual(tri_boundary).kind == "irrelevant"
 
     def test_full_simplex_rejected(self, full3):
         with pytest.raises(VoidDual):
@@ -130,7 +129,7 @@ class TestAlexanderDual:
 
     @given(complexes(max_vertices=7))
     def test_involution(self, c):
-        if c.kind is not Kind.PROPER or c.facets == (c.vertices.full_face,):
+        if c.kind != "proper" or c.facets == (c.vertices.full_face,):
             return
         assert alexander_dual(alexander_dual(c)) == c
 
