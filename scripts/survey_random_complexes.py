@@ -5,7 +5,10 @@ Generates seeded random complexes, tabulates how often each property holds,
 and double-checks the expected implications along the way: vertex-decomposable
 implies shellable on every instance, pure or not (Björner and Wachs,
 *Shellable nonpure complexes and posets II*, 1997), and shellable implies a
-nonnegative h-vector on pure instances.
+nonnegative h-vector on pure instances.  A complex keeps a record of the
+verdicts decided on it, and a later verdict may be read off that record, so
+each verdict is computed on its own fresh copy of the complex: otherwise the
+implications would hold by construction.
 
     python scripts/survey_random_complexes.py --count 300 --max-vertices 6
 """
@@ -48,6 +51,11 @@ def random_complex(rng: random.Random, max_vertices: int, pure: bool):
     )
 
 
+def fresh(cplx):
+    """An equal copy of ``cplx`` with nothing decided on it yet."""
+    return from_facets(cplx.vertices, cplx.facets)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=300)
@@ -61,9 +69,9 @@ def main() -> int:
     for step in range(args.count):
         cplx = random_complex(rng, args.max_vertices, pure=bool(step % 2))
         pure = is_pure(cplx)
-        shellable = is_shellable(cplx)
-        vd = is_vertex_decomposable(cplx)
-        k1 = is_k_decomposable(cplx, min(1, cplx.dimension() + 1))
+        shellable = is_shellable(fresh(cplx))
+        vd = is_vertex_decomposable(fresh(cplx))
+        k1 = is_k_decomposable(fresh(cplx), min(1, cplx.dimension() + 1))
         tally["pure"] += pure
         tally["shellable"] += shellable
         tally["vd"] += vd

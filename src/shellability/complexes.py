@@ -23,6 +23,9 @@ MAX_VERTICES = 64  # one machine word per face
 
 EMPTY_FACE_TOKEN = "()"  # prints the empty face in the file format
 
+# a k past every dimension: k-decomposability there is shellability
+_SHELLABLE = MAX_VERTICES
+
 
 def _byte_table(low: int) -> list[tuple[int, ...]]:
     """Entry b: the set positions of byte b, taken as the byte whose lowest
@@ -148,11 +151,27 @@ class SimplicialComplex:
     Two values are computed on first use and kept on the instance: the
     f-vector (read by :func:`f_vector` and :func:`h_vector`) and the minimal
     nonfaces (read by :func:`~shellability.duality.minimal_nonfaces` and
-    :func:`~shellability.duality.alexander_dual`).  They are not fields, so
-    equality, hashing and ``repr`` see the vertices and facets alone."""
+    :func:`~shellability.duality.alexander_dual`).  A third is a verdict
+    record: the greatest k for which the complex is known not to be
+    k-decomposable and the least k for which it is known to be, written by
+    every procedure that decides either (see
+    :mod:`~shellability.decomposability`) and read by the verdict functions
+    before they search.  A class-level pair settles nothing until a verdict
+    replaces it whole on the instance, so a complex costs nothing more to
+    build, and two racing writes can lose a fact but never record a false
+    one.  None of the three is a field, so equality, hashing and ``repr``
+    see the vertices and facets alone."""
 
     vertices: VertexSet
     facets: tuple[Face, ...]
+    # (greatest k known not k-decomposable, least k known k-decomposable);
+    # not annotated, so not a dataclass field.  Each k is kept as
+    # min(k, top): every k ≥ d of a complex of dimension d ≥ 2 is
+    # shellability, kept under top = d, and every k of a graph or less is
+    # one connectivity test, kept under top = 0.  The shelling search writes
+    # this record on every call, so the two methods below inline that clamp
+    # and dimension() rather than call them.
+    _verdicts = (-1, MAX_VERTICES)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "facets", tuple(_maximal(self.facets, self.vertices.n)))
@@ -172,6 +191,28 @@ class SimplicialComplex:
 
     def is_face(self, face: Face) -> bool:
         return any(face & ~facet == 0 for facet in self.facets)
+
+    def _known(self, k: int) -> bool | None:
+        """Whether the complex is k-decomposable, when the record says."""
+        no, yes = self._verdicts
+        top = self.facets[0].bit_count() - 1
+        top = top if top >= 2 else 0
+        k = k if k < top else top
+        return False if k <= no else True if k >= yes else None
+
+    def _learn(self, k: int, holds: bool) -> bool:
+        """Record that the complex is k-decomposable, or not; return
+        ``holds``.  k = ``_SHELLABLE`` records shellability."""
+        no, yes = self._verdicts
+        top = self.facets[0].bit_count() - 1
+        top = top if top >= 2 else 0
+        k = k if k < top else top
+        # written to __dict__ as cached_property writes: object.__setattr__
+        # costs a call more
+        self.__dict__["_verdicts"] = (
+            (no, yes if yes < k else k) if holds else (no if no > k else k, yes)
+        )
+        return holds
 
     @cached_property
     def _f_vector(self) -> FVector:

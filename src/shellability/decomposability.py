@@ -69,6 +69,34 @@ Wachs, *Shellable nonpure complexes and posets II*, 1997, Section 11, for
 nonpure ones).  So :func:`is_k_decomposable` hands a top-level call with
 k ≥ d ≥ 2 to the shelling search, whose memo of refuted placed sets keeps
 it far cheaper than this recursion.
+
+Each complex keeps one verdict record (see :class:`SimplicialComplex`): the
+greatest k for which it is known not to be k-decomposable and the least k
+for which it is known to be.  Three facts let one answer settle others:
+
+* a k-decomposable complex is (k+1)-decomposable, since a face of
+  dimension at most k is one of dimension at most k + 1 (Provan and
+  Billera, 1980), so a yes at k settles every larger k and a no every
+  smaller one, and vertex-decomposability is the least k;
+* a k-decomposable complex is shellable, and a d-dimensional one is
+  k-decomposable for k ≥ d iff it is shellable (Provan and Billera, 1980,
+  for pure complexes; Björner and Wachs, *Shellable nonpure complexes and
+  posets II*, 1997, Section 11, for nonpure ones), so a shelling refutation
+  is a no for every k and a shelling a yes for every k ≥ d;
+* on a complex of dimension at most 1 every k is the one connectivity test
+  above, so any verdict there settles every k.
+
+:func:`is_vertex_decomposable`, :func:`is_k_decomposable` (the hand-off to
+the shelling search included) and
+:func:`~shellability.shelling.shelling_order` write what they decide, and
+so do :func:`shedding_vertices` (some vertex found means vertex-decomposable;
+none on a complex of two or more facets means not) and
+:func:`is_shedding_vertex` (true means vertex-decomposable).  Each of these
+but ``shelling_order``, which returns a witness and so always searches,
+reads the record first, and so does
+:func:`~shellability.shelling.is_shellable`.  The recursion's node memo
+stays per call: kept on the complex it would hold search-sized memory as
+long as the complex lives.
 """
 
 from __future__ import annotations
@@ -195,10 +223,18 @@ def _starts(
             yield face
 
 
+def _recorded(cplx: SimplicialComplex, k: int) -> bool:
+    """k-decomposability by the recursion, unless the complex's record
+    already says; the recursion's answer joins the record."""
+    known = cplx._known(k)
+    return cplx._learn(k, _decomposable(cplx.facets, k, {})) if known is None else known
+
+
 def is_vertex_decomposable(cplx: SimplicialComplex) -> bool:
     """Recursive test: a simplex, or some shedding vertex whose link and
-    deletion are both vertex-decomposable."""
-    return _decomposable(cplx.facets, 0, {})
+    deletion are both vertex-decomposable.  A verdict the complex already
+    records answers without a search."""
+    return _recorded(cplx, 0)
 
 
 def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
@@ -207,7 +243,9 @@ def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
     :class:`NotAFace` as :func:`face_deletion` does."""
     if vertex.bit_count() != 1:
         raise ValueError("expected a single-vertex face")
-    return is_shedding_face(cplx, vertex) and any(_starts(cplx.facets, [vertex], 0, {}))
+    if not is_shedding_face(cplx, vertex) or cplx._known(0) is False:
+        return False
+    return any(_starts(cplx.facets, [vertex], 0, {})) and cplx._learn(0, True)
 
 
 def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
@@ -216,12 +254,13 @@ def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
     shellability (Provan and Billera for pure complexes, Björner and Wachs
     for nonpure ones), so the shelling search answers when d ≥ 2; a
     complex of dimension at most 1 is k-decomposable iff its edges form one
-    connected graph."""
+    connected graph.  A verdict the complex already records answers without
+    a search."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k >= cplx.dimension() >= 2:
         return is_shellable(cplx)
-    return _decomposable(cplx.facets, k, {})
+    return _recorded(cplx, k)
 
 
 def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
@@ -232,5 +271,12 @@ def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
 
 
 def shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
-    """Vertices passing :func:`is_shedding_vertex`, in position order."""
-    return list(_starts(cplx.facets, _shedding_faces(cplx.facets, 0), 0, {}))
+    """Vertices passing :func:`is_shedding_vertex`, in position order.  A
+    vertex-decomposable complex other than a simplex has one, and no other
+    complex does."""
+    if cplx._known(0) is False:
+        return []
+    found = list(_starts(cplx.facets, _shedding_faces(cplx.facets, 0), 0, {}))
+    if found or len(cplx.facets) > 1:
+        cplx._learn(0, bool(found))
+    return found

@@ -54,6 +54,7 @@ from typing import Sequence
 # minimal_hitting_sets lives in complexes; it is re-exported here only because
 # bench/spans.py looks its span up in this module
 from .complexes import (
+    _SHELLABLE,
     Face,
     HVector,
     SimplicialComplex,
@@ -210,6 +211,11 @@ def shelling_order(
     no placed facet on any of its ridges; neither changes any answer.
     Deterministic for a fixed order.  Raises :class:`InvalidOrder` when
     ``order`` is not a permutation of the facets.
+
+    The search is complete whatever ``order`` is, so its answer is recorded
+    on the complex as its shellability (see
+    :mod:`~shellability.decomposability`); being asked for a witness, it
+    always searches and never reads the record.
     """
     arranged = list(cplx.facets) if order is None else facet_permutation(cplx, order)
     n = len(arranged)
@@ -251,6 +257,7 @@ def shelling_order(
         else:
             dead.add(placed)
             if not path:
+                cplx._learn(_SHELLABLE, False)
                 return None
             i = path.pop()
             placed ^= 1 << i
@@ -261,9 +268,12 @@ def shelling_order(
         path.append(i)
         rests.append(rest)
         start = 0
+    cplx._learn(_SHELLABLE, True)
     return ShellingOrder(tuple(arranged[i] for i in path), tuple(rests))
 
 
 def is_shellable(cplx: SimplicialComplex) -> bool:
-    """Whether some shelling order exists (searched in canonical order)."""
-    return shelling_order(cplx) is not None
+    """Whether some shelling order exists (searched in canonical order,
+    unless the complex's verdict record already says)."""
+    known = cplx._known(_SHELLABLE)
+    return shelling_order(cplx) is not None if known is None else known

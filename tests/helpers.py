@@ -48,6 +48,14 @@ def cx(labels: str, facets: str) -> SimplicialComplex:
     return from_facets(vs, [vs.face(tuple(word)) for word in facets.split()])
 
 
+def fresh(cplx: SimplicialComplex) -> SimplicialComplex:
+    """An equal copy of ``cplx`` with nothing decided on it.  A complex
+    keeps a record of the verdicts decided on it, and a later verdict may be
+    read off that record, so a test that compares two verdicts computes each
+    on its own copy."""
+    return from_facets(cplx.vertices, cplx.facets)
+
+
 def fc(cplx: SimplicialComplex, word: str) -> Face:
     return cplx.vertices.face(tuple(word))
 

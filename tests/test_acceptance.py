@@ -23,6 +23,7 @@ from helpers import (
     brute_is_shelling_order,
     faces_of,
     fc,
+    fresh,
     label_sets,
     random_complex,
     random_pure_complex,
@@ -149,7 +150,10 @@ def test_criterion_4_invariant_suite_on_random_complexes():
             if order is not None:
                 assert h_from_shelling(cplx, list(order.facets)) == h_vector(cplx)
             # (c) vertex-decomposable => shellable, and for pure complexes
-            # shellable => nonnegative h
+            # shellable => nonnegative h; vd was the first verdict asked of
+            # cplx and shelling_order always searches, so both are computed,
+            # and from (d) on each verdict is asked of a fresh copy, so none
+            # is read off another's record
             shellable = order is not None
             if vd:
                 assert shellable
@@ -157,21 +161,21 @@ def test_criterion_4_invariant_suite_on_random_complexes():
                 assert all(entry >= 0 for entry in h_vector(cplx))
 
             # (d) 0-decomposability is vertex-decomposability
-            assert is_k_decomposable(cplx, 0) == vd
+            assert is_k_decomposable(fresh(cplx), 0) == vd
 
             # (e) monotone in the shedding-face budget
             dim = cplx.dimension()
-            verdicts = [is_k_decomposable(cplx, k) for k in range(dim + 1)]
+            verdicts = [is_k_decomposable(fresh(cplx), k) for k in range(dim + 1)]
             for earlier, later in zip(verdicts, verdicts[1:]):
                 assert not (earlier and not later)
 
             # (f) relabelling invariance of all verdicts
             n = cplx.vertices.n
             mapped = relabelled(cplx, rng.sample(range(n), n))
-            assert is_shellable(mapped) == is_shellable(cplx)
-            assert is_vertex_decomposable(mapped) == vd
+            assert is_shellable(fresh(mapped)) == is_shellable(fresh(cplx))
+            assert is_vertex_decomposable(fresh(mapped)) == vd
             assert [
-                is_k_decomposable(mapped, k) for k in range(dim + 1)
+                is_k_decomposable(fresh(mapped), k) for k in range(dim + 1)
             ] == verdicts
         assert total >= 500
         assert pure_count > 0 and nonpure_count > 0
@@ -209,9 +213,9 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_negative_controls():
     def check():
         two_edges = from_facets(vset("abcd"), [0b0011, 0b1100])
-        assert not is_shellable(two_edges)
-        assert not is_vertex_decomposable(two_edges)
-        assert not is_k_decomposable(two_edges, 1)
+        assert not is_shellable(fresh(two_edges))
+        assert not is_vertex_decomposable(fresh(two_edges))
+        assert not is_k_decomposable(fresh(two_edges), 1)
         demo = _demo_from_nonfaces()
         assert h_vector(demo) == (1, 4, 3, 0)
         assert h_from_shelling(demo, faces_of(demo, O1)) == (1, 4, 3, 0)

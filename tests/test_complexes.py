@@ -17,6 +17,7 @@ from helpers import (
     brute_maximal,
     complexes,
     cx,
+    fresh,
     label_sets,
     pure_complexes,
     random_pure_complex,
@@ -169,7 +170,7 @@ class TestFromFacets:
         c = SimplicialComplex(VertexSet(("a", "b")), [0b11, 0b01])
         assert c.facets == (0b11,)
         assert is_simplex(c) and is_pure(c)
-        assert is_shellable(c) and is_vertex_decomposable(c)
+        assert is_shellable(c) and is_vertex_decomposable(fresh(c))
 
     def test_irrelevant(self):
         c = from_facets(vset("abc"), [0])

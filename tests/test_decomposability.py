@@ -5,6 +5,7 @@ from operator import or_
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     antichains,
@@ -19,8 +20,10 @@ from helpers import (
     complexes,
     counted_calls,
     cx,
+    demo_complex,
     eleven_triangles,
     fc,
+    fresh,
     graph,
     random_complex,
     random_pure_complex,
@@ -48,6 +51,7 @@ from shellability import (
     relabelled,
     shedding_faces,
     shedding_vertices,
+    shelling_order,
 )
 
 
@@ -127,8 +131,8 @@ class TestIsSheddingFace:
 
 class TestIsKDecomposable:
     def test_demo_matches_vertex_decomposability(self, demo):
-        assert is_k_decomposable(demo, 0)
-        assert is_k_decomposable(demo, 0) == is_vertex_decomposable(demo)
+        assert is_k_decomposable(fresh(demo), 0)
+        assert is_k_decomposable(fresh(demo), 0) == is_vertex_decomposable(fresh(demo))
 
     def test_simplex_for_every_k(self, full3):
         for k in range(4):
@@ -146,14 +150,14 @@ class TestIsKDecomposable:
     @settings(max_examples=50)
     @given(complexes(max_vertices=6))
     def test_zero_equals_vertex_decomposable(self, c):
-        assert is_k_decomposable(c, 0) == is_vertex_decomposable(c)
+        assert is_k_decomposable(fresh(c), 0) == is_vertex_decomposable(fresh(c))
 
     @settings(max_examples=40)
     @given(complexes(max_vertices=6))
     def test_monotone_in_k(self, c):
         previous = None
         for k in range(c.dimension() + 2):
-            current = is_k_decomposable(c, k)
+            current = is_k_decomposable(fresh(c), k)
             if previous is not None:
                 assert not (previous and not current)
             previous = current
@@ -246,9 +250,9 @@ class TestTwoFacets:
             rule = (f & ~g).bit_count() == 1 or (g & ~f).bit_count() == 1
             for k in range(c.dimension() + 2):
                 assert brute_is_k_decomposable(c, k) == rule
-                assert is_k_decomposable(c, k) == rule
+                assert is_k_decomposable(fresh(c), k) == rule
                 cases += 1
-            assert is_vertex_decomposable(c) == rule
+            assert is_vertex_decomposable(fresh(c)) == rule
         assert cases == 1110
 
 
@@ -284,9 +288,9 @@ class TestGraphs:
                     c = from_facets(vs, edges + list(points))
                     for k in range(3):
                         assert brute_is_k_decomposable(c, k) == rule
-                        assert is_k_decomposable(c, k) == rule
+                        assert is_k_decomposable(fresh(c), k) == rule
                         cases += 1
-                    assert shedding_vertices(c) == brute_shedding_vertices(c)
+                    assert shedding_vertices(fresh(c)) == brute_shedding_vertices(c)
         assert cases == 4347
 
     def test_work_counts(self):
@@ -313,7 +317,7 @@ class TestHandOff:
             c = (random_pure_complex if i % 2 else random_complex)(rng, max_vertices=6)
             shellable = is_shellable(c)
             for k in (c.dimension(), c.dimension() + 1):
-                assert is_k_decomposable(c, k) == shellable == brute_is_k_decomposable(c, k)
+                assert is_k_decomposable(fresh(c), k) == shellable == brute_is_k_decomposable(c, k)
 
     def test_twenty_facet_complex(self):
         # the recursion took about a minute here; the shelling search makes
@@ -337,10 +341,10 @@ class TestHierarchy:
         assert not brute_is_k_decomposable(c, 0)
         assert brute_is_k_decomposable(c, 1)
         assert brute_shedding_vertices(c) == []
-        assert is_shellable(c)
-        assert not is_vertex_decomposable(c)
-        assert is_k_decomposable(c, 1)
-        assert shedding_vertices(c) == []
+        assert is_shellable(fresh(c))
+        assert not is_vertex_decomposable(fresh(c))
+        assert is_k_decomposable(fresh(c), 1)
+        assert shedding_vertices(fresh(c)) == []
 
     def test_census_on_five_vertices(self):
         # every complex on five labelled vertices: shellability and VD
@@ -353,7 +357,7 @@ class TestHierarchy:
                 brute_first_shelling(list(c.facets)) is not None,
                 brute_is_k_decomposable(c, 0),
             )
-            assert (is_shellable(c), is_vertex_decomposable(c)) == brute
+            assert (is_shellable(c), is_vertex_decomposable(fresh(c))) == brute
             cases += 1
             shellable += brute[0]
             vd += brute[1]
@@ -432,8 +436,8 @@ class TestAgainstBruteForce:
             assert shedding_faces(c, k) == shed
             assert [f for f in all_faces(c, k) if is_shedding_face(c, f)] == shed
         expected = brute_shedding_vertices(c)
-        assert shedding_vertices(c) == expected
-        assert [v for v in all_faces(c, 0) if is_shedding_vertex(c, v)] == expected
+        assert shedding_vertices(fresh(c)) == expected
+        assert [v for v in all_faces(c, 0) if is_shedding_vertex(fresh(c), v)] == expected
 
 
 class TestStructuralInvariants:
@@ -442,7 +446,7 @@ class TestStructuralInvariants:
         for _ in range(80):
             c = random_pure_complex(rng, max_vertices=6)
             if is_vertex_decomposable(c):
-                assert is_shellable(c)
+                assert is_shellable(fresh(c))
                 assert all(entry >= 0 for entry in h_vector(c))
 
     def test_top_dimensional_decomposability_implies_shellable(self):
@@ -450,7 +454,7 @@ class TestStructuralInvariants:
         for _ in range(60):
             c = random_pure_complex(rng, max_vertices=6)
             if is_k_decomposable(c, c.dimension()):
-                assert is_shellable(c)
+                assert is_shellable(fresh(c))
 
     def test_relabelling_invariance(self):
         rng = random.Random(6262)
@@ -459,6 +463,98 @@ class TestStructuralInvariants:
             n = c.vertices.n
             mapped = relabelled(c, rng.sample(range(n), n))
             assert is_vertex_decomposable(mapped) == is_vertex_decomposable(c)
-            assert is_shellable(mapped) == is_shellable(c)
+            assert is_shellable(fresh(mapped)) == is_shellable(fresh(c))
             for k in range(min(c.dimension(), 2) + 1):
-                assert is_k_decomposable(mapped, k) == is_k_decomposable(c, k)
+                assert is_k_decomposable(fresh(mapped), k) == is_k_decomposable(fresh(c), k)
+
+
+def _verdict_calls(c):
+    """Every verdict procedure, and the shelling search, that can be asked
+    about ``c``, by name."""
+    calls = [
+        ("shelling_order", shelling_order),
+        ("is_shellable", is_shellable),
+        ("is_vertex_decomposable", is_vertex_decomposable),
+        ("shedding_vertices", shedding_vertices),
+    ]
+    calls += [
+        (f"is_k_decomposable k={k}", lambda x, k=k: is_k_decomposable(x, k))
+        for k in range(c.dimension() + 2)
+    ]
+    calls += [
+        (f"is_shedding_vertex {v}", lambda x, v=v: is_shedding_vertex(x, v))
+        for v in all_faces(c, 0)
+    ]
+    return calls
+
+
+class TestVerdictRecord:
+    # a complex records the verdicts decided on it, and the verdict
+    # functions read that record before they search
+
+    @settings(max_examples=150, deadline=None)
+    @given(complexes(max_vertices=6), st.data())
+    def test_answers_do_not_depend_on_what_was_asked_before(self, c, data):
+        calls = _verdict_calls(c)
+        for i in data.draw(st.permutations(range(len(calls)))):
+            name, call = calls[i]
+            assert call(c) == call(fresh(c)), name
+
+    @pytest.mark.parametrize(
+        "c",
+        [shellable_not_vd(), eleven_triangles(), demo_complex(), bowtie(3)],
+        ids=["shellable_not_vd", "eleven_triangles", "demo", "bowtie3"],
+    )
+    def test_answers_after_each_first_call(self, c):
+        # each call first, then every call in turn, on one copy: a shelling
+        # or a verdict at one k must not settle a k it does not decide, as
+        # on a complex that is shellable but not vertex-decomposable
+        calls = _verdict_calls(c)
+        expected = [call(fresh(c)) for _, call in calls]
+        for _, first in calls:
+            copy = fresh(c)
+            first(copy)
+            assert [call(copy) for _, call in calls] == expected
+
+    def test_shelling_refutation_settles_decomposability(self):
+        # a work count: once the shelling search has refuted the complex,
+        # VD, k = 1 and the shedding vertices enumerate no shedding faces;
+        # on a fresh copy k = 1 still searches
+        c = twenty_facets()
+        assert not is_shellable(c)
+        with counted_calls(decomposability, "_shedding_faces", 0) as calls:
+            assert not is_vertex_decomposable(c)
+            assert not is_k_decomposable(c, 1)
+            assert shedding_vertices(c) == []
+        assert calls[0] == 0
+        with counted_calls(decomposability, "_shedding_faces", 10) as calls:
+            assert not is_k_decomposable(fresh(c), 1)
+        assert calls[0] == 2
+
+    def test_vertex_decomposition_settles_every_k(self):
+        demo = demo_complex()
+        assert is_vertex_decomposable(demo)
+        with counted_calls(decomposability, "_decomposable", 0) as calls:
+            assert is_k_decomposable(demo, 1)
+        assert calls[0] == 0
+
+    def test_shelling_order_always_searches(self):
+        # the witness search never reads the record: refuting a complex
+        # already known not to be shellable costs what it costs on a copy
+        c = eleven_triangles()
+        assert not is_shellable(c)
+        with counted_calls(shelling, "_sieve", 100_000) as known:
+            assert shelling_order(c) is None
+        with counted_calls(shelling, "_sieve", 100_000) as first:
+            assert shelling_order(fresh(c)) is None
+        assert known[0] == first[0] > 0
+
+    def test_record_is_not_seen_by_equality_hash_or_repr(self):
+        c = demo_complex()
+        copy = fresh(c)
+        before = (hash(c), repr(c))
+        assert is_vertex_decomposable(c)
+        assert c._verdicts != copy._verdicts  # a verdict was recorded
+        assert c == copy
+        assert (hash(c), repr(c)) == before == (hash(copy), repr(copy))
+        assert type(c)._verdicts == copy._verdicts  # the class-level pair is untouched
