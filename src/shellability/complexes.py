@@ -154,7 +154,7 @@ class SimplicialComplex:
     :func:`~shellability.duality.alexander_dual`).  A third is a verdict
     record: the greatest k for which the complex is known not to be
     k-decomposable and the least k for which it is known to be, written by
-    every procedure that decides either (see
+    the shelling search and the decomposability tests (see
     :mod:`~shellability.decomposability`) and read by the verdict functions
     before they search.  A class-level pair settles nothing until a verdict
     replaces it whole on the instance, so a complex costs nothing more to

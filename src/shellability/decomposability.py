@@ -88,15 +88,13 @@ for which it is known to be.  Three facts let one answer settle others:
 
 :func:`is_vertex_decomposable`, :func:`is_k_decomposable` (the hand-off to
 the shelling search included) and
-:func:`~shellability.shelling.shelling_order` write what they decide, and
-so do :func:`shedding_vertices` (some vertex found means vertex-decomposable;
-none on a complex of two or more facets means not) and
-:func:`is_shedding_vertex` (true means vertex-decomposable).  Each of these
-but ``shelling_order``, which returns a witness and so always searches,
-reads the record first, and so does
-:func:`~shellability.shelling.is_shellable`.  The recursion's node memo
-stays per call: kept on the complex it would hold search-sized memory as
-long as the complex lives.
+:func:`~shellability.shelling.shelling_order` write what they decide.  The
+first two read the record first, and so does
+:func:`~shellability.shelling.is_shellable`; ``shelling_order``, which
+returns a witness, always searches.  :func:`shedding_vertices` and
+:func:`is_shedding_vertex` neither read nor write it.  The recursion's node
+memo stays per call: kept on the complex it would hold search-sized memory
+as long as the complex lives.
 """
 
 from __future__ import annotations
@@ -243,9 +241,7 @@ def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
     :class:`NotAFace` as :func:`face_deletion` does."""
     if vertex.bit_count() != 1:
         raise ValueError("expected a single-vertex face")
-    if not is_shedding_face(cplx, vertex) or cplx._known(0) is False:
-        return False
-    return any(_starts(cplx.facets, [vertex], 0, {})) and cplx._learn(0, True)
+    return is_shedding_face(cplx, vertex) and any(_starts(cplx.facets, [vertex], 0, {}))
 
 
 def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
@@ -271,12 +267,5 @@ def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
 
 
 def shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
-    """Vertices passing :func:`is_shedding_vertex`, in position order.  A
-    vertex-decomposable complex other than a simplex has one, and no other
-    complex does."""
-    if cplx._known(0) is False:
-        return []
-    found = list(_starts(cplx.facets, _shedding_faces(cplx.facets, 0), 0, {}))
-    if found or len(cplx.facets) > 1:
-        cplx._learn(0, bool(found))
-    return found
+    """Vertices passing :func:`is_shedding_vertex`, in position order."""
+    return list(_starts(cplx.facets, _shedding_faces(cplx.facets, 0), 0, {}))

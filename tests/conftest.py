@@ -9,26 +9,29 @@ import pytest
 
 from helpers import cx, demo_complex
 
+# Each test gets its own complexes: a complex records the verdicts decided on
+# it, so a shared one would let one test's verdict answer another's query.
 
-@pytest.fixture(scope="session")
+
+@pytest.fixture
 def demo():
     """The running example: eight triangles on seven vertices."""
     return demo_complex()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def two_edges():
     """Two disjoint edges; pure but not shellable."""
     return cx("abcd", "ab cd")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def tri_boundary():
     """Boundary of a triangle."""
     return cx("abc", "ab ac bc")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def full3():
     """Full simplex on three vertices."""
     return cx("abc", "abc")
