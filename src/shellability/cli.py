@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Sequence
 from .complexes import Face, SimplicialComplex, f_vector, h_vector, is_pure
 from .decomposability import (
     is_k_decomposable,
+    is_shellable,
     is_vertex_decomposable,
     shedding_faces,
     shedding_vertices,
@@ -46,7 +47,7 @@ from .fileformat import (  # parse_complex is re-exported, not used here
     serialize_complex,
     serialize_nonfaces,
 )
-from .shelling import is_shellable, shelling_order, shuffled_facets
+from .shelling import shelling_order, shuffled_facets
 
 
 def _bool_str(value: bool) -> str:

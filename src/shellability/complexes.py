@@ -23,9 +23,6 @@ MAX_VERTICES = 64  # one machine word per face
 
 EMPTY_FACE_TOKEN = "()"  # prints the empty face in the file format
 
-# a k past every dimension: k-decomposability there is shellability
-_SHELLABLE = MAX_VERTICES
-
 
 def _byte_table(low: int) -> list[tuple[int, ...]]:
     """Entry b: the set positions of byte b, taken as the byte whose lowest
@@ -153,24 +150,22 @@ class SimplicialComplex:
     nonfaces (read by :func:`~shellability.duality.minimal_nonfaces` and
     :func:`~shellability.duality.alexander_dual`).  A third is a verdict
     record: the greatest k for which the complex is known not to be
-    k-decomposable and the least k for which it is known to be, written by
-    the shelling search and the decomposability tests (see
-    :mod:`~shellability.decomposability`) and read by the verdict functions
-    before they search.  A class-level pair settles nothing until a verdict
-    replaces it whole on the instance, so a complex costs nothing more to
-    build, and two racing writes can lose a fact but never record a false
-    one.  None of the three is a field, so equality, hashing and ``repr``
-    see the vertices and facets alone."""
+    k-decomposable and the least k for which it is known to be, each kept at
+    its :meth:`_rung`.  The shelling search and
+    :func:`~shellability.decomposability.is_k_decomposable` write it, and
+    ``is_k_decomposable``, through which every yes/no verdict goes, alone
+    reads it (see :mod:`~shellability.decomposability`).  The record stays on
+    the complex because the shelling search, a layer below, writes it.  A
+    class-level pair settles nothing until a verdict replaces it whole on
+    the instance, so a complex costs nothing more to build, and two racing
+    writes can lose a fact but never record a false one.  None of the three
+    is a field, so equality, hashing and ``repr`` see the vertices and
+    facets alone."""
 
     vertices: VertexSet
     facets: tuple[Face, ...]
-    # (greatest k known not k-decomposable, least k known k-decomposable);
-    # not annotated, so not a dataclass field.  Each k is kept as
-    # min(k, top): every k ≥ d of a complex of dimension d ≥ 2 is
-    # shellability, kept under top = d, and every k of a graph or less is
-    # one connectivity test, kept under top = 0.  The shelling search writes
-    # this record on every call, so the two methods below inline that clamp
-    # and dimension() rather than call them.
+    # (greatest k known not k-decomposable, least k known k-decomposable),
+    # each k kept at its _rung; not annotated, so not a dataclass field
     _verdicts = (-1, MAX_VERTICES)
 
     def __post_init__(self) -> None:
@@ -192,21 +187,26 @@ class SimplicialComplex:
     def is_face(self, face: Face) -> bool:
         return any(face & ~facet == 0 for facet in self.facets)
 
+    def _rung(self, k: int) -> int:
+        """The k under which the record keeps k-decomposability: every
+        k ≥ d of a complex of dimension d ≥ 2 is shellability, kept under d,
+        and every k of a complex of dimension at most 1 is one connectivity
+        test, kept under 0.  So any k ≥ d, such as ``MAX_VERTICES``, stands
+        for shellability."""
+        top = self.facets[0].bit_count() - 1
+        return k if k < top else top if top >= 2 else 0
+
     def _known(self, k: int) -> bool | None:
         """Whether the complex is k-decomposable, when the record says."""
         no, yes = self._verdicts
-        top = self.facets[0].bit_count() - 1
-        top = top if top >= 2 else 0
-        k = k if k < top else top
+        k = self._rung(k)
         return False if k <= no else True if k >= yes else None
 
     def _learn(self, k: int, holds: bool) -> bool:
         """Record that the complex is k-decomposable, or not; return
-        ``holds``.  k = ``_SHELLABLE`` records shellability."""
+        ``holds``."""
         no, yes = self._verdicts
-        top = self.facets[0].bit_count() - 1
-        top = top if top >= 2 else 0
-        k = k if k < top else top
+        k = self._rung(k)
         # written to __dict__ as cached_property writes: object.__setattr__
         # costs a call more
         self.__dict__["_verdicts"] = (

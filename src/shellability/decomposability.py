@@ -68,7 +68,10 @@ shellability (Provan and Billera, 1980, for pure complexes; Björner and
 Wachs, *Shellable nonpure complexes and posets II*, 1997, Section 11, for
 nonpure ones).  So :func:`is_k_decomposable` hands a top-level call with
 k ≥ d ≥ 2 to the shelling search, whose memo of refuted placed sets keeps
-it far cheaper than this recursion.
+it far cheaper than this recursion, and :func:`is_shellable` is
+k-decomposability at k = ``MAX_VERTICES``, past every dimension: the
+search on a complex of dimension 2 or more, the connectivity test above on
+a graph.
 
 Each complex keeps one verdict record (see :class:`SimplicialComplex`): the
 greatest k for which it is known not to be k-decomposable and the least k
@@ -86,15 +89,16 @@ for which it is known to be.  Three facts let one answer settle others:
 * on a complex of dimension at most 1 every k is the one connectivity test
   above, so any verdict there settles every k.
 
-:func:`is_vertex_decomposable`, :func:`is_k_decomposable` (the hand-off to
-the shelling search included) and
-:func:`~shellability.shelling.shelling_order` write what they decide.  The
-first two read the record first, and so does
-:func:`~shellability.shelling.is_shellable`; ``shelling_order``, which
-returns a witness, always searches.  :func:`shedding_vertices` and
-:func:`is_shedding_vertex` neither read nor write it.  The recursion's node
-memo stays per call: kept on the complex it would hold search-sized memory
-as long as the complex lives.
+The record has one reader and two writers.  :func:`is_k_decomposable`
+reads it, and every yes/no verdict goes through it:
+:func:`is_vertex_decomposable` is k = 0 and :func:`is_shellable` is k =
+``MAX_VERTICES``.  On a miss it hands k ≥ d ≥ 2 to
+:func:`~shellability.shelling.shelling_order`, the first writer, which
+records its own answer, or else runs the recursion and records that, the
+second.  ``shelling_order``, which returns a witness, always searches.
+:func:`shedding_vertices` and :func:`is_shedding_vertex` neither read nor
+write the record.  The recursion's node memo stays per call: kept on the
+complex it would hold search-sized memory as long as the complex lives.
 """
 
 from __future__ import annotations
@@ -102,9 +106,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import Face, SimplicialComplex, _holders, face_bits
+from .complexes import MAX_VERTICES, Face, SimplicialComplex, _holders, face_bits
 from .face_ops import face_deletion
-from .shelling import _sieve, is_shellable
+from .shelling import _sieve, shelling_order
 
 _Memo = dict[tuple[Face, ...], bool]
 
@@ -221,18 +225,19 @@ def _starts(
             yield face
 
 
-def _recorded(cplx: SimplicialComplex, k: int) -> bool:
-    """k-decomposability by the recursion, unless the complex's record
-    already says; the recursion's answer joins the record."""
-    known = cplx._known(k)
-    return cplx._learn(k, _decomposable(cplx.facets, k, {})) if known is None else known
-
-
 def is_vertex_decomposable(cplx: SimplicialComplex) -> bool:
     """Recursive test: a simplex, or some shedding vertex whose link and
-    deletion are both vertex-decomposable.  A verdict the complex already
-    records answers without a search."""
-    return _recorded(cplx, 0)
+    deletion are both vertex-decomposable; :func:`is_k_decomposable` at
+    k = 0."""
+    return is_k_decomposable(cplx, 0)
+
+
+def is_shellable(cplx: SimplicialComplex) -> bool:
+    """Whether some shelling order exists: :func:`is_k_decomposable` at
+    k = ``MAX_VERTICES``, past every dimension, so the shelling search
+    answers when the dimension is 2 or more, and one connectivity test
+    answers on a graph."""
+    return is_k_decomposable(cplx, MAX_VERTICES)
 
 
 def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
@@ -251,12 +256,15 @@ def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
     for nonpure ones), so the shelling search answers when d ≥ 2; a
     complex of dimension at most 1 is k-decomposable iff its edges form one
     connected graph.  A verdict the complex already records answers without
-    a search."""
+    a search, and a verdict searched for joins the record."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    known = cplx._known(k)
+    if known is not None:
+        return known
     if k >= cplx.dimension() >= 2:
-        return is_shellable(cplx)
-    return _recorded(cplx, k)
+        return shelling_order(cplx) is not None  # which records its answer
+    return cplx._learn(k, _decomposable(cplx.facets, k, {}))
 
 
 def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:

@@ -43,6 +43,12 @@ this one, so it could only add step tests: on a non-shellable pure
 2-complex with 20 facets on 8 vertices, full recording answers after
 449,730 step tests and 143,343 refuted sets, where a cap of 131,072 sets
 made over 24 million step tests (without the skip) and had no answer yet.
+
+This module computes and checks orders, and decides no verdict on a
+complex.  The search is complete, so :func:`shelling_order` writes its
+answer to the complex's verdict record, which
+:func:`~shellability.decomposability.is_k_decomposable`, behind
+:func:`~shellability.decomposability.is_shellable`, reads.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from typing import Sequence
 # minimal_hitting_sets lives in complexes; it is re-exported here only because
 # bench/spans.py looks its span up in this module
 from .complexes import (
-    _SHELLABLE,
+    MAX_VERTICES,
     Face,
     HVector,
     SimplicialComplex,
@@ -173,26 +179,25 @@ def h_from_shelling(cplx: SimplicialComplex, order: Sequence[Face]) -> HVector:
     return tuple(h)
 
 
-def _splitmix64(seed: int):
-    # stable across platforms and Python versions, unlike random.shuffle
-    state = seed & _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+def _mix64(x: int) -> int:
+    """splitmix64's output function on ``x`` mod 2**64."""
+    z = x & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def shuffled_facets(cplx: SimplicialComplex, seed: int) -> list[Face]:
     """The facets in a seeded random order, for :func:`shelling_order`.
 
-    The shuffle draws from splitmix64 on ``seed`` mod 2**64, so a seed gives
-    the same order on every platform and Python version."""
+    The shuffle's t-th draw (t from 1) is splitmix64's t-th output on
+    ``seed`` mod 2**64: its output function on seed + t times the golden
+    gamma.  So a seed gives the same order on every platform and Python
+    version, unlike :func:`random.shuffle`."""
     out = list(cplx.facets)
-    stream = _splitmix64(seed)
-    for i in range(len(out) - 1, 0, -1):
-        j = next(stream) % (i + 1)
+    n = len(out)
+    for i in range(n - 1, 0, -1):
+        j = _mix64(seed + (n - i) * 0x9E3779B97F4A7C15) % (i + 1)
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -213,9 +218,9 @@ def shelling_order(
     ``order`` is not a permutation of the facets.
 
     The search is complete whatever ``order`` is, so its answer is recorded
-    on the complex as its shellability (see
-    :mod:`~shellability.decomposability`); being asked for a witness, it
-    always searches and never reads the record.
+    on the complex as its shellability, k-decomposability at k =
+    ``MAX_VERTICES`` (see :mod:`~shellability.decomposability`).  Being
+    asked for a witness, it always searches and never reads the record.
     """
     arranged = list(cplx.facets) if order is None else facet_permutation(cplx, order)
     n = len(arranged)
@@ -257,7 +262,7 @@ def shelling_order(
         else:
             dead.add(placed)
             if not path:
-                cplx._learn(_SHELLABLE, False)
+                cplx._learn(MAX_VERTICES, False)
                 return None
             i = path.pop()
             placed ^= 1 << i
@@ -268,12 +273,5 @@ def shelling_order(
         path.append(i)
         rests.append(rest)
         start = 0
-    cplx._learn(_SHELLABLE, True)
+    cplx._learn(MAX_VERTICES, True)
     return ShellingOrder(tuple(arranged[i] for i in path), tuple(rests))
-
-
-def is_shellable(cplx: SimplicialComplex) -> bool:
-    """Whether some shelling order exists (searched in canonical order,
-    unless the complex's verdict record already says)."""
-    known = cplx._known(_SHELLABLE)
-    return shelling_order(cplx) is not None if known is None else known

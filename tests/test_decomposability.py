@@ -308,6 +308,18 @@ class TestGraphs:
             assert shedding_vertices(cycle) == [1 << i for i in range(64)]
         assert calls[0] == 1
 
+    def test_is_shellable_answers_a_graph_without_the_search(self):
+        # a work count: is_shellable is k-decomposability past every
+        # dimension, one connectivity test on a graph, so the shelling search
+        # sieves nothing; the search itself agrees on fresh copies
+        cycle = graph(64, [(i, (i + 1) % 64) for i in range(64)])
+        apart = cx("abcde", "ab cd e")  # two disjoint edges and a point
+        for c, verdict in ((cycle, True), (apart, False)):
+            with counted_calls(shelling, "_sieve", 0) as calls:
+                assert is_shellable(c) == verdict
+            assert calls[0] == 0
+            assert (shelling_order(fresh(c)) is not None) == verdict
+
 
 class TestHandOff:
     def test_top_dimension_is_shellability(self):
@@ -358,6 +370,9 @@ class TestHierarchy:
                 brute_is_k_decomposable(c, 0),
             )
             assert (is_shellable(c), is_vertex_decomposable(fresh(c))) == brute
+            # is_shellable answers a graph by connectivity, so the search is
+            # checked here on every complex, graphs included
+            assert (shelling_order(fresh(c)) is not None) == brute[0]
             cases += 1
             shellable += brute[0]
             vd += brute[1]
@@ -536,6 +551,25 @@ class TestVerdictRecord:
         with counted_calls(decomposability, "_decomposable", 0) as calls:
             assert is_k_decomposable(demo, 1)
         assert calls[0] == 0
+        with counted_calls(shelling, "_sieve", 0) as calls:
+            assert is_shellable(demo)
+        assert calls[0] == 0
+        assert is_shellable(fresh(demo))
+
+    def test_shelling_order_refutation_is_read_back(self):
+        # a work count: shelling_order writes its refutation to the record,
+        # and is_shellable and the hand-off at k = dim read it back without
+        # a sieve or a shedding enumeration
+        c = eleven_triangles()
+        assert shelling_order(c) is None
+        with counted_calls(shelling, "_sieve", 0) as sieves, counted_calls(
+            decomposability, "_shedding_faces", 0
+        ) as shedding:
+            assert not is_shellable(c)
+            assert not is_k_decomposable(c, 2)
+        assert sieves[0] == shedding[0] == 0
+        assert not is_shellable(fresh(c))
+        assert not is_k_decomposable(fresh(c), 2)
 
     def test_shelling_order_always_searches(self):
         # the witness search never reads the record: refuting a complex
