@@ -23,10 +23,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 
 from .complexes import Face, SimplicialComplex, f_vector, h_vector, is_pure
 from .decomposability import (
@@ -84,7 +84,8 @@ def _load(args) -> tuple[SimplicialComplex, tuple[Face, ...], str]:
     if args.source == "-":
         text, name = sys.stdin.read(), "<stdin>"
     else:
-        text, name = Path(args.source).read_text(), Path(args.source).name
+        with open(args.source) as file:
+            text, name = file.read(), os.path.basename(args.source)
     return (*parse_complex_with_order(text), name)
 
 
@@ -101,12 +102,9 @@ def _order(args, cplx: SimplicialComplex, parsed_order) -> list[Face] | None:
     return None
 
 
-@dataclass(frozen=True)
-class _Command:
-    help: str
-    flags: tuple[str, ...]
-    compute: Callable[..., dict]  # (args, complex, facets as parsed) -> report fields
-    text: Callable[..., Iterable[str]]  # (input complex, fields) -> output lines
+# help: str; flags: the flag groups; compute: (args, complex, facets as
+# parsed) -> report fields; text: (input complex, fields) -> output lines
+_Command = namedtuple("_Command", "help flags compute text")
 
 
 # --- builders, one per command shape: each returns a whole command ---------

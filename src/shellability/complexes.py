@@ -8,10 +8,9 @@ equality, hashing, and search results reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
 
 from .errors import InvalidNonface, InvalidOrder, InvalidVertex, VoidComplex
 
@@ -79,15 +78,46 @@ def _holders(vertex_lists: Iterable[list[int]], n: int) -> list[int]:
     return holders
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class _Value:
+    """Base of the value classes.  The fields are the attributes named in
+    ``__match_args__`` (so a class pattern matches them by position), set
+    once by ``__init__`` through ``object.__setattr__``.  Equality, hashing
+    and ``repr`` see the fields alone, and no attribute can be assigned or
+    deleted; values computed on first use go straight into ``__dict__``."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = map("{}={!r}".format, self.__match_args__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: the value is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: the value is immutable")
+
+
+class VertexSet(_Value):
     """Ordered ground set of named vertices; positions index bitmask bits."""
 
-    labels: tuple[str, ...]
+    __match_args__ = ("labels",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.labels, tuple):
-            object.__setattr__(self, "labels", tuple(self.labels))
+    def __init__(self, labels: Iterable[str]) -> None:
+        if not isinstance(labels, tuple):
+            labels = tuple(labels)
+        object.__setattr__(self, "labels", labels)
         if len(self.labels) > MAX_VERTICES:
             raise ValueError(
                 f"at most {MAX_VERTICES} vertices are supported, got {len(self.labels)}"
@@ -129,8 +159,7 @@ class VertexSet:
         return tuple(map(self.labels.__getitem__, face_bits(face)))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Value):
     """A complex stored as its facets, in canonical order.
 
     The constructor is the one gate every complex passes, whether its faces
@@ -162,14 +191,15 @@ class SimplicialComplex:
     is a field, so equality, hashing and ``repr`` see the vertices and
     facets alone."""
 
-    vertices: VertexSet
-    facets: tuple[Face, ...]
+    __match_args__ = ("vertices", "facets")
     # (greatest k known not k-decomposable, least k known k-decomposable),
-    # each k kept at its _rung; not annotated, so not a dataclass field
+    # each k kept at its _rung; a class attribute until a verdict replaces it
+    # on the instance, and not a field
     _verdicts = (-1, MAX_VERTICES)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "facets", tuple(_maximal(self.facets, self.vertices.n)))
+    def __init__(self, vertices: VertexSet, facets: Iterable[Face]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "facets", tuple(_maximal(facets, vertices.n)))
         if not self.facets:
             raise VoidComplex("no faces given: the void complex is not supported")
 

@@ -103,8 +103,8 @@ complex it would hold search-sized memory as long as the complex lives.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
 
 from .complexes import MAX_VERTICES, Face, SimplicialComplex, _holders, face_bits
 from .face_ops import face_deletion

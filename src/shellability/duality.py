@@ -6,21 +6,22 @@ its support face, so colon ideals reduce to support differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
-from .complexes import Face, SimplicialComplex, VertexSet
+from .complexes import Face, SimplicialComplex, VertexSet, _Value
 from .errors import VoidDual
 from .shelling import _walk, is_shelling_order
 
 
-@dataclass(frozen=True)
-class MonomialSet:
+class MonomialSet(_Value):
     """Ordered squarefree monomials over a ground set.  The order matters:
     linear-quotient checks are order-sensitive."""
 
-    ground: VertexSet
-    gens: tuple[Face, ...]
+    __match_args__ = ("ground", "gens")
+
+    def __init__(self, ground: VertexSet, gens: tuple[Face, ...]) -> None:
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "gens", gens)
 
 
 def minimal_nonfaces(cplx: SimplicialComplex) -> MonomialSet:

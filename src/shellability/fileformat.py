@@ -19,7 +19,7 @@ text with ``str.split`` and computes a column only when it raises.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 # complexes are built through the module, so wrappers installed on it
 # (bench/spans.py) see the construction as its own layer

@@ -54,8 +54,7 @@ answer to the complex's verdict record, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 # minimal_hitting_sets lives in complexes; it is re-exported here only because
 # bench/spans.py looks its span up in this module
@@ -65,6 +64,7 @@ from .complexes import (
     HVector,
     SimplicialComplex,
     _holders,
+    _Value,
     face_bits,
     facet_permutation,
     minimal_hitting_sets,
@@ -74,12 +74,14 @@ from .errors import InvalidOrder
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class ShellingOrder:
+class ShellingOrder(_Value):
     """A facet order together with each step's unique minimal new face."""
 
-    facets: tuple[Face, ...]
-    restrictions: tuple[Face, ...]
+    __match_args__ = ("facets", "restrictions")
+
+    def __init__(self, facets: tuple[Face, ...], restrictions: tuple[Face, ...]) -> None:
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "restrictions", restrictions)
 
 
 def _sieve(holders: list[int], among: int, verts: list[int]) -> int:

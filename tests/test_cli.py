@@ -322,18 +322,34 @@ class TestHelp:
         assert actual == [(name, text, common + flags) for name, text, flags in expected]
 
 
+def loaded_by_import(module: str, names: tuple[str, ...]) -> list[str]:
+    """Which of the modules ``names`` a fresh ``python -S`` has loaded after
+    ``import module``.  ``-S`` skips the site module, whose ``.pth`` files
+    may load modules themselves and so hide what the package pulls in."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(DATA.parents[1] / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    probe = f"import sys, {module}; print(*[m for m in {names!r} if m in sys.modules])"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
 class TestImport:
     def test_package_import_leaves_out_the_cli(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(DATA.parents[1] / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        probe = (
-            "import sys, shellability; "
-            "print([m for m in ('argparse', 'json', 'shellability.cli') if m in sys.modules])"
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-        )
-        assert run.returncode == 0 and run.stdout == "[]\n"
+        assert loaded_by_import("shellability", ("argparse", "json", "shellability.cli")) == []
+
+    def test_package_import_leaves_out_introspection_and_typing(self):
+        # the value classes are plain classes, and annotations name
+        # collections.abc, so no dataclasses (with inspect, ast, dis and
+        # tokenize behind it) or typing is compiled at start-up
+        names = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+        assert loaded_by_import("shellability", names) == []
+
+    def test_cli_import_leaves_out_dataclasses_and_pathlib(self):
+        names = ("dataclasses", "inspect", "pathlib")
+        assert loaded_by_import("shellability.cli", names) == []
 
     def test_all_lists_every_public_name(self):
         bound = {
