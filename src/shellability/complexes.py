@@ -178,24 +178,25 @@ class SimplicialComplex(_Value):
     f-vector (read by :func:`f_vector` and :func:`h_vector`) and the minimal
     nonfaces (read by :func:`~shellability.duality.minimal_nonfaces` and
     :func:`~shellability.duality.alexander_dual`).  A third is a verdict
-    record: the greatest k for which the complex is known not to be
-    k-decomposable and the least k for which it is known to be, each kept at
-    its :meth:`_rung`.  The shelling search and
-    :func:`~shellability.decomposability.is_k_decomposable` write it, and
-    ``is_k_decomposable``, through which every yes/no verdict goes, alone
-    reads it (see :mod:`~shellability.decomposability`).  The record stays on
-    the complex because the shelling search, a layer below, writes it.  A
-    class-level pair settles nothing until a verdict replaces it whole on
-    the instance, so a complex costs nothing more to build, and two racing
-    writes can lose a fact but never record a false one.  None of the three
-    is a field, so equality, hashing and ``repr`` see the vertices and
-    facets alone."""
+    record: two bounds on a key, the greatest key known to be a no and the
+    least known to be a yes.  The record compares keys and knows no theory:
+    :func:`~shellability.decomposability.is_k_decomposable`, through which
+    every yes/no verdict goes, maps each k to its key and alone reads it,
+    and the shelling search and ``is_k_decomposable`` write it (see
+    :mod:`~shellability.decomposability`).  The record stays on the complex
+    because the shelling search, a layer below, writes it.  A class-level
+    pair, its no bound below every key and its yes bound above, settles
+    nothing until a verdict replaces it whole on the instance, so a complex
+    costs nothing more to build, and two racing writes can lose a fact but
+    never record a false one.  None of the three is a field, so equality,
+    hashing and ``repr`` see the vertices and facets alone."""
 
     __match_args__ = ("vertices", "facets")
-    # (greatest k known not k-decomposable, least k known k-decomposable),
-    # each k kept at its _rung; a class attribute until a verdict replaces it
-    # on the instance, and not a field
-    _verdicts = (-1, MAX_VERTICES)
+    # (greatest key known a no, least key known a yes), keys as
+    # is_k_decomposable maps them, MAX_VERTICES the highest; a class
+    # attribute outside every key until a verdict replaces it on the
+    # instance, and not a field
+    _verdicts = (-1, MAX_VERTICES + 1)
 
     def __init__(self, vertices: VertexSet, facets: Iterable[Face]) -> None:
         object.__setattr__(self, "vertices", vertices)
@@ -217,30 +218,18 @@ class SimplicialComplex(_Value):
     def is_face(self, face: Face) -> bool:
         return any(face & ~facet == 0 for facet in self.facets)
 
-    def _rung(self, k: int) -> int:
-        """The k under which the record keeps k-decomposability: every
-        k ≥ d of a complex of dimension d ≥ 2 is shellability, kept under d,
-        and every k of a complex of dimension at most 1 is one connectivity
-        test, kept under 0.  So any k ≥ d, such as ``MAX_VERTICES``, stands
-        for shellability."""
-        top = self.facets[0].bit_count() - 1
-        return k if k < top else top if top >= 2 else 0
-
-    def _known(self, k: int) -> bool | None:
-        """Whether the complex is k-decomposable, when the record says."""
+    def _known(self, key: int) -> bool | None:
+        """The verdict recorded at ``key``, or ``None``."""
         no, yes = self._verdicts
-        k = self._rung(k)
-        return False if k <= no else True if k >= yes else None
+        return False if key <= no else True if key >= yes else None
 
-    def _learn(self, k: int, holds: bool) -> bool:
-        """Record that the complex is k-decomposable, or not; return
-        ``holds``."""
+    def _learn(self, key: int, holds: bool) -> bool:
+        """Record the verdict ``holds`` at ``key``; return ``holds``."""
         no, yes = self._verdicts
-        k = self._rung(k)
         # written to __dict__ as cached_property writes: object.__setattr__
         # costs a call more
         self.__dict__["_verdicts"] = (
-            (no, yes if yes < k else k) if holds else (no if no > k else k, yes)
+            (no, yes if yes < key else key) if holds else (no if no > key else key, yes)
         )
         return holds
 

@@ -73,9 +73,11 @@ k-decomposability at k = ``MAX_VERTICES``, past every dimension: the
 search on a complex of dimension 2 or more, the connectivity test above on
 a graph.
 
-Each complex keeps one verdict record (see :class:`SimplicialComplex`): the
-greatest k for which it is known not to be k-decomposable and the least k
-for which it is known to be.  Three facts let one answer settle others:
+Each complex keeps one verdict record (see :class:`SimplicialComplex`): two
+bounds on a key, the greatest key known to be a no and the least known to
+be a yes.  The record only compares keys; :func:`is_k_decomposable` is the
+one place a k is mapped to its key.  Three facts let one answer settle
+others:
 
 * a k-decomposable complex is (k+1)-decomposable, since a face of
   dimension at most k is one of dimension at most k + 1 (Provan and
@@ -88,6 +90,13 @@ for which it is known to be.  Three facts let one answer settle others:
   is a no for every k and a shelling a yes for every k ≥ d;
 * on a complex of dimension at most 1 every k is the one connectivity test
   above, so any verdict there settles every k.
+
+So every k ≥ d, and every k when d ≤ 1, is kept under one key,
+``MAX_VERTICES``, the key the shelling search writes, and every other k
+under itself.  A dimension is below ``MAX_VERTICES``, so the keys keep the
+order of the k's, and a yes at a key settles every larger key, a no every
+smaller one.  A fresh record's no bound lies below every key and its yes
+bound above every key, so it settles none.
 
 The record has one reader and two writers.  :func:`is_k_decomposable`
 reads it, and every yes/no verdict goes through it:
@@ -255,16 +264,23 @@ def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
     shellability (Provan and Billera for pure complexes, Björner and Wachs
     for nonpure ones), so the shelling search answers when d ≥ 2; a
     complex of dimension at most 1 is k-decomposable iff its edges form one
-    connected graph.  A verdict the complex already records answers without
-    a search, and a verdict searched for joins the record."""
+    connected graph.
+
+    This is where k meets the verdict record: k ≥ d, and every k when
+    d ≤ 1, is kept under the shelling search's key ``MAX_VERTICES``, every
+    other k under itself, which keeps the order of the k's.  A verdict the
+    complex already records answers without a search, and a verdict
+    searched for joins the record."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    known = cplx._known(k)
+    d = cplx.dimension()
+    key = k if k < d and d >= 2 else MAX_VERTICES
+    known = cplx._known(key)
     if known is not None:
         return known
-    if k >= cplx.dimension() >= 2:
+    if k >= d >= 2:
         return shelling_order(cplx) is not None  # which records its answer
-    return cplx._learn(k, _decomposable(cplx.facets, k, {}))
+    return cplx._learn(key, _decomposable(cplx.facets, k, {}))
 
 
 def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:

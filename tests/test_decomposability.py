@@ -35,6 +35,7 @@ from helpers import (
 )
 from shellability import decomposability, shelling
 from shellability import (
+    MAX_VERTICES,
     EmptyFace,
     NotAFace,
     VertexSet,
@@ -570,6 +571,39 @@ class TestVerdictRecord:
         assert sieves[0] == shedding[0] == 0
         assert not is_shellable(fresh(c))
         assert not is_k_decomposable(fresh(c), 2)
+
+    @pytest.mark.parametrize(
+        "c",
+        [eleven_triangles(), shellable_not_vd(), graph(5, [(0, 1), (1, 2), (3, 4)])],
+        ids=["eleven_triangles", "shellable_not_vd", "disconnected_graph"],
+    )
+    def test_fresh_bounds_settle_no_key(self, c):
+        # a fresh complex knows nothing: neither bound may settle any k, past
+        # the dimension and past MAX_VERTICES included, where every k is the
+        # shelling key
+        d = c.dimension()
+        shellable = brute_first_shelling(c.facets) is not None
+        for k in (0, 1, d, d + 1, MAX_VERTICES, MAX_VERTICES + 1, 10**6):
+            expected = shellable if k >= d else brute_is_k_decomposable(c, k)
+            assert is_k_decomposable(fresh(c), k) == expected, k
+
+    def test_found_shelling_is_read_back(self):
+        # a work count: shelling_order writes the shelling it finds to the
+        # record, so every k >= dim reads yes without a sieve or a shedding
+        # enumeration, while k = 0, which a shelling does not settle, still
+        # runs the recursion and answers no
+        c = shellable_not_vd()
+        d = c.dimension()
+        assert shelling_order(c) is not None
+        with counted_calls(shelling, "_sieve", 0) as sieves, counted_calls(
+            decomposability, "_shedding_faces", 0
+        ) as shedding:
+            for k in (d, MAX_VERTICES, 10**6):
+                assert is_k_decomposable(c, k), k
+        assert sieves[0] == shedding[0] == 0
+        with counted_calls(decomposability, "_decomposable", 10_000) as calls:
+            assert not is_k_decomposable(c, 0)
+        assert calls[0] > 0
 
     def test_shelling_order_always_searches(self):
         # the witness search never reads the record: refuting a complex
