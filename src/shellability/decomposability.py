@@ -75,9 +75,8 @@ a graph.
 
 Each complex keeps one verdict record (see :class:`SimplicialComplex`): two
 bounds on a key, the greatest key known to be a no and the least known to
-be a yes.  The record only compares keys; :func:`is_k_decomposable` is the
-one place a k is mapped to its key.  Three facts let one answer settle
-others:
+be a yes.  The record only compares keys; :func:`_key` is the one place a
+k is mapped to its key.  Three facts let one answer settle others:
 
 * a k-decomposable complex is (k+1)-decomposable, since a face of
   dimension at most k is one of dimension at most k + 1 (Provan and
@@ -98,16 +97,21 @@ order of the k's, and a yes at a key settles every larger key, a no every
 smaller one.  A fresh record's no bound lies below every key and its yes
 bound above every key, so it settles none.
 
-The record has one reader and two writers.  :func:`is_k_decomposable`
-reads it, and every yes/no verdict goes through it:
-:func:`is_vertex_decomposable` is k = 0 and :func:`is_shellable` is k =
-``MAX_VERTICES``.  On a miss it hands k ≥ d ≥ 2 to
-:func:`~shellability.shelling.shelling_order`, the first writer, which
-records its own answer, or else runs the recursion and records that, the
-second.  ``shelling_order``, which returns a witness, always searches.
-:func:`shedding_vertices` and :func:`is_shedding_vertex` neither read nor
-write the record.  The recursion's node memo stays per call: kept on the
-complex it would hold search-sized memory as long as the complex lives.
+The record has two readers and three writers, and is read only in this
+module.  :func:`is_k_decomposable` reads it, and every yes/no verdict goes
+through it: :func:`is_vertex_decomposable` is k = 0 and
+:func:`is_shellable` is k = ``MAX_VERTICES``.  On a miss it hands
+k ≥ d ≥ 2 to :func:`~shellability.shelling.shelling_order`, the first
+writer, which records its own answer, or else runs the recursion and
+records that, the second.  ``shelling_order``, which returns a witness,
+always searches.  :func:`shedding_vertices` reads the k = 0 key, through
+:func:`_key` as well: a no leaves no vertex to start a decomposition, and
+a yes leaves only the deletions to decide, since every link of a
+vertex-decomposable complex is.  On a miss its walk decides
+vertex-decomposability, and it records that, the third writer.
+:func:`is_shedding_vertex` neither reads nor writes the record.  The
+recursion's node memo stays per call: kept on the complex it would hold
+search-sized memory as long as the complex lives.
 """
 
 from __future__ import annotations
@@ -253,9 +257,17 @@ def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
     """Whether ``vertex`` can start a vertex decomposition: it sheds, and its
     link and deletion are both vertex-decomposable.  Raises
     :class:`NotAFace` as :func:`face_deletion` does."""
-    if vertex.bit_count() != 1:
+    if vertex < 0 or vertex.bit_count() != 1:  # -1 and -2 have one bit too
         raise ValueError("expected a single-vertex face")
     return is_shedding_face(cplx, vertex) and any(_starts(cplx.facets, [vertex], 0, {}))
+
+
+def _key(d: int, k: int) -> int:
+    """The verdict record's key for k on a complex of dimension d: k ≥ d,
+    and every k when d ≤ 1, is kept under the shelling search's key
+    ``MAX_VERTICES``, every other k under itself, which keeps the order of
+    the k's."""
+    return k if k < d and d >= 2 else MAX_VERTICES
 
 
 def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
@@ -266,15 +278,12 @@ def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
     complex of dimension at most 1 is k-decomposable iff its edges form one
     connected graph.
 
-    This is where k meets the verdict record: k ≥ d, and every k when
-    d ≤ 1, is kept under the shelling search's key ``MAX_VERTICES``, every
-    other k under itself, which keeps the order of the k's.  A verdict the
-    complex already records answers without a search, and a verdict
-    searched for joins the record."""
+    A verdict the complex already records (see :func:`_key`) answers without
+    a search, and a verdict searched for joins the record."""
     if k < 0:
         raise ValueError("k must be >= 0")
     d = cplx.dimension()
-    key = k if k < d and d >= 2 else MAX_VERTICES
+    key = _key(d, k)
     known = cplx._known(key)
     if known is not None:
         return known
@@ -291,5 +300,27 @@ def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
 
 
 def shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
-    """Vertices passing :func:`is_shedding_vertex`, in position order."""
-    return list(_starts(cplx.facets, _shedding_faces(cplx.facets, 0), 0, {}))
+    """Vertices passing :func:`is_shedding_vertex`, in position order.
+
+    The verdict record's answer to vertex-decomposability settles part of
+    the question: on a complex recorded not VD no vertex starts a
+    decomposition, so the list is empty; on one recorded VD every link is
+    VD, so a shedding vertex starts one iff its deletion is VD.  Otherwise
+    the walk decides each vertex, and its answer joins the record: the
+    complex is VD iff some vertex starts a decomposition or it is a
+    simplex."""
+    facets = cplx.facets
+    key = _key(cplx.dimension(), 0)
+    known = cplx._known(key)
+    if known is False:
+        return []
+    memo: _Memo = {}
+    if known:
+        return [
+            v
+            for v in _shedding_faces(facets, 0)
+            if _decomposable([f for f in facets if v & ~f], 0, memo)
+        ]
+    found = list(_starts(facets, _shedding_faces(facets, 0), 0, memo))
+    cplx._learn(key, bool(found) or len(facets) == 1)
+    return found

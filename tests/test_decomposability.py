@@ -100,6 +100,9 @@ class TestIsSheddingVertex:
         c = cx("abc", "ab")
         with pytest.raises(NotAFace):
             is_shedding_vertex(c, fc(c, "c"))
+        for vertex in (-1, -2):  # one bit each by bit_count, but no face
+            with pytest.raises(ValueError, match="single-vertex"):
+                is_shedding_vertex(demo, vertex)
 
 
 class TestIsSheddingFace:
@@ -390,6 +393,12 @@ class TestHierarchy:
             verdict = brute_is_k_decomposable(c, 1)
             assert is_k_decomposable(c, 1) == verdict
             yes += verdict
+            # shedding vertices read off the recorded VD verdict, yes or no,
+            # and walked on a fresh copy
+            shed = brute_shedding_vertices(c)
+            is_vertex_decomposable(c)
+            assert shedding_vertices(c) == shed
+            assert shedding_vertices(fresh(c)) == shed
         assert yes == 1361
 
     def test_census_top_dimension_without_hand_off(self):
@@ -541,6 +550,7 @@ class TestVerdictRecord:
         with counted_calls(decomposability, "_shedding_faces", 0) as calls:
             assert not is_vertex_decomposable(c)
             assert not is_k_decomposable(c, 1)
+            assert shedding_vertices(c) == []
         assert calls[0] == 0
         with counted_calls(decomposability, "_shedding_faces", 10) as calls:
             assert not is_k_decomposable(fresh(c), 1)
@@ -556,6 +566,57 @@ class TestVerdictRecord:
             assert is_shellable(demo)
         assert calls[0] == 0
         assert is_shellable(fresh(demo))
+
+    def test_vertex_decomposition_leaves_only_deletions(self):
+        # a work count: once VD is recorded, every link is VD, so
+        # shedding_vertices decides only the deletions of the shedding
+        # vertices; on a fresh copy it walks links and deletions
+        demo = demo_complex()
+        assert is_vertex_decomposable(demo)
+        with counted_calls(decomposability, "_decomposable", 9) as calls:
+            assert words(demo, shedding_vertices(demo)) == list("abcdf")
+        assert calls[0] == 9
+        with counted_calls(decomposability, "_decomposable", 14) as calls:
+            assert words(demo, shedding_vertices(fresh(demo))) == list("abcdf")
+        assert calls[0] == 14
+
+    @pytest.mark.parametrize(
+        "c, verdict",
+        [
+            (demo_complex(), True),
+            (shellable_not_vd(), False),
+            (eleven_triangles(), False),
+            (cx("abc", "abc"), True),
+            (from_facets(vset("ab"), [0]), True),
+            (graph(64, [(i, (i + 1) % 64) for i in range(64)]), True),
+            (cx("abcde", "ab cd e"), False),
+        ],
+        ids=["demo", "shellable_not_vd", "eleven_triangles", "simplex", "irrelevant",
+             "cycle64", "two_edges_and_a_point"],
+    )
+    def test_shedding_vertices_records_vertex_decomposability(self, c, verdict):
+        # the walk decides VD: yes iff some vertex starts a decomposition or
+        # the complex is a simplex, so VD then reads the record; the brute
+        # oracle does not finish on the 64-vertex cycle, a connected graph
+        if c.vertices.n < 64:
+            assert brute_is_k_decomposable(c, 0) == verdict
+        copy = fresh(c)
+        shedding_vertices(copy)
+        with counted_calls(decomposability, "_decomposable", 0) as calls:
+            assert is_vertex_decomposable(copy) == verdict
+        assert calls[0] == 0
+
+    def test_unrecorded_walk_on_the_census(self):
+        # a work count: with nothing recorded, shedding_vertices on every
+        # complex on five labelled vertices runs the walk alone, so reading
+        # and writing the record adds no search
+        vs = vset("abcde")
+        with counted_calls(decomposability, "_decomposable", 10**6) as calls, counted_calls(
+            decomposability, "_shedding_faces", 10**6
+        ) as enumerations:
+            for facets in antichains(vs.n):
+                shedding_vertices(from_facets(vs, facets))
+        assert (calls[0], enumerations[0]) == (47_524, 12_597)
 
     def test_shelling_order_refutation_is_read_back(self):
         # a work count: shelling_order writes its refutation to the record,
