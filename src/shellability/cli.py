@@ -91,6 +91,8 @@ def _load(args) -> tuple[SimplicialComplex, tuple[Face, ...], str]:
 
 def _order(args, cplx: SimplicialComplex, parsed_order) -> list[Face] | None:
     if args.permutation is not None:
+        if args.random:
+            raise ValueError("--random and --permutation cannot be combined")
         indices = args.permutation
         if sorted(indices) != list(range(len(parsed_order))):
             raise InvalidOrder(

@@ -179,12 +179,10 @@ class SimplicialComplex(_Value):
     nonfaces (read by :func:`~shellability.duality.minimal_nonfaces` and
     :func:`~shellability.duality.alexander_dual`).  A third is a verdict
     record: two bounds on a key, the greatest key known to be a no and the
-    least known to be a yes.  The record compares keys and knows no theory:
-    :func:`~shellability.decomposability.is_k_decomposable`, through which
-    every yes/no verdict goes, maps each k to its key and alone reads it,
-    and the shelling search and ``is_k_decomposable`` write it (see
-    :mod:`~shellability.decomposability`).  The record stays on the complex
-    because the shelling search, a layer below, writes it.  A class-level
+    least known to be a yes.  It compares keys and knows no theory; who
+    reads and writes it is stated once, in
+    :mod:`~shellability.decomposability`.  It stays on the complex because
+    the shelling search, a layer below, writes it.  A class-level
     pair, its no bound below every key and its yes bound above, settles
     nothing until a verdict replaces it whole on the instance, so a complex
     costs nothing more to build, and two racing writes can lose a fact but
@@ -192,10 +190,9 @@ class SimplicialComplex(_Value):
     hashing and ``repr`` see the vertices and facets alone."""
 
     __match_args__ = ("vertices", "facets")
-    # (greatest key known a no, least key known a yes), keys as
-    # is_k_decomposable maps them, MAX_VERTICES the highest; a class
-    # attribute outside every key until a verdict replaces it on the
-    # instance, and not a field
+    # (greatest key known a no, least key known a yes), MAX_VERTICES the
+    # highest key (see decomposability); outside every key until a verdict
+    # replaces it on the instance, and not a field
     _verdicts = (-1, MAX_VERTICES + 1)
 
     def __init__(self, vertices: VertexSet, facets: Iterable[Face]) -> None:

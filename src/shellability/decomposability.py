@@ -27,8 +27,9 @@ are memoised per top-level call.
 Every link of a k-decomposable complex is k-decomposable (Provan and
 Billera, 1980, for pure complexes; Björner and Wachs, *Shellable nonpure
 complexes and posets II*, 1997, Section 11, for nonpure ones).  So a
-candidate whose link is not k-decomposable refutes its node at once, and
-:func:`shedding_vertices` stops at such a vertex with none found.  Proof, by
+candidate whose link is not k-decomposable refutes its node at once, and on
+a vertex-decomposable complex a shedding vertex starts a decomposition iff
+its deletion is vertex-decomposable.  Proof, by
 induction along a decomposition in which σ sheds with deletion D and link
 L: the link of a face τ is D's link of τ when τ ∪ σ is not a face, and L's
 link of τ minus σ when τ holds σ; otherwise σ minus τ sheds from it, with
@@ -75,8 +76,8 @@ a graph.
 
 Each complex keeps one verdict record (see :class:`SimplicialComplex`): two
 bounds on a key, the greatest key known to be a no and the least known to
-be a yes.  The record only compares keys; :func:`_key` is the one place a
-k is mapped to its key.  Three facts let one answer settle others:
+be a yes.  The record only compares keys; :func:`_verdict` is the one place
+a k is mapped to its key.  Three facts let one answer settle others:
 
 * a k-decomposable complex is (k+1)-decomposable, since a face of
   dimension at most k is one of dimension at most k + 1 (Provan and
@@ -97,21 +98,18 @@ order of the k's, and a yes at a key settles every larger key, a no every
 smaller one.  A fresh record's no bound lies below every key and its yes
 bound above every key, so it settles none.
 
-The record has two readers and three writers, and is read only in this
-module.  :func:`is_k_decomposable` reads it, and every yes/no verdict goes
-through it: :func:`is_vertex_decomposable` is k = 0 and
-:func:`is_shellable` is k = ``MAX_VERTICES``.  On a miss it hands
-k ≥ d ≥ 2 to :func:`~shellability.shelling.shelling_order`, the first
-writer, which records its own answer, or else runs the recursion and
-records that, the second.  ``shelling_order``, which returns a witness,
-always searches.  :func:`shedding_vertices` reads the k = 0 key, through
-:func:`_key` as well: a no leaves no vertex to start a decomposition, and
-a yes leaves only the deletions to decide, since every link of a
-vertex-decomposable complex is.  On a miss its walk decides
-vertex-decomposability, and it records that, the third writer.
-:func:`is_shedding_vertex` neither reads nor writes the record.  The
-recursion's node memo stays per call: kept on the complex it would hold
-search-sized memory as long as the complex lives.
+The record has one reader, :func:`_verdict`, and two writers,
+:func:`_verdict` and ``shelling_order``.  Every yes/no verdict goes through
+it: :func:`is_k_decomposable`, :func:`is_vertex_decomposable` (k = 0),
+:func:`is_shellable` (k = ``MAX_VERTICES``) and :func:`shedding_vertices`,
+which asks vertex-decomposability first and then decides only deletions.
+On a miss :func:`_verdict` hands k ≥ d ≥ 2 to
+:func:`~shellability.shelling.shelling_order`, which writes its own answer,
+or else runs the recursion and writes that.  ``shelling_order``, which
+returns a witness, always searches and never reads the record.
+:func:`is_shedding_vertex` neither reads nor writes it.  The recursion's
+node memo stays per call: kept on the complex it would hold search-sized
+memory as long as the complex lives.
 """
 
 from __future__ import annotations
@@ -205,7 +203,7 @@ def _decomposable(facets: Sequence[Face], k: int, memo: _Memo) -> bool:
         return _connected([f for f in facets if f.bit_count() == 2])
     cached = memo.get(facets)
     if cached is None:
-        cached = memo[facets] = any(_starts(facets, _shedding_faces(facets, k), k, memo))
+        cached = memo[facets] = _starts(facets, _shedding_faces(facets, k), k, memo)
     return cached
 
 
@@ -225,24 +223,24 @@ def _connected(edges: Sequence[Face]) -> bool:
     return True
 
 
-def _starts(
-    facets: Sequence[Face], faces: Iterable[Face], k: int, memo: _Memo
-) -> Iterator[Face]:
-    """The shedding ``faces`` whose link and deletion are both k-decomposable,
-    in turn.  A link that is not stops the walk: the complex is then not
-    k-decomposable, so no face starts a decomposition."""
+def _starts(facets: Sequence[Face], faces: Iterable[Face], k: int, memo: _Memo) -> bool:
+    """Whether one of the shedding ``faces``, tried in turn, has a link and a
+    deletion that are both k-decomposable.  A link that is not stops the
+    walk: the complex is then not k-decomposable, so no face starts a
+    decomposition."""
     for face in faces:
         if not _decomposable([f ^ face for f in facets if not face & ~f], k, memo):
-            return
+            return False
         if _decomposable([f for f in facets if face & ~f], k, memo):
-            yield face
+            return True
+    return False
 
 
 def is_vertex_decomposable(cplx: SimplicialComplex) -> bool:
     """Recursive test: a simplex, or some shedding vertex whose link and
     deletion are both vertex-decomposable; :func:`is_k_decomposable` at
     k = 0."""
-    return is_k_decomposable(cplx, 0)
+    return _verdict(cplx, 0, {})
 
 
 def is_shellable(cplx: SimplicialComplex) -> bool:
@@ -250,7 +248,7 @@ def is_shellable(cplx: SimplicialComplex) -> bool:
     k = ``MAX_VERTICES``, past every dimension, so the shelling search
     answers when the dimension is 2 or more, and one connectivity test
     answers on a graph."""
-    return is_k_decomposable(cplx, MAX_VERTICES)
+    return _verdict(cplx, MAX_VERTICES, {})
 
 
 def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
@@ -259,15 +257,22 @@ def is_shedding_vertex(cplx: SimplicialComplex, vertex: Face) -> bool:
     :class:`NotAFace` as :func:`face_deletion` does."""
     if vertex < 0 or vertex.bit_count() != 1:  # -1 and -2 have one bit too
         raise ValueError("expected a single-vertex face")
-    return is_shedding_face(cplx, vertex) and any(_starts(cplx.facets, [vertex], 0, {}))
+    return is_shedding_face(cplx, vertex) and _starts(cplx.facets, [vertex], 0, {})
 
 
-def _key(d: int, k: int) -> int:
-    """The verdict record's key for k on a complex of dimension d: k ≥ d,
-    and every k when d ≤ 1, is kept under the shelling search's key
-    ``MAX_VERTICES``, every other k under itself, which keeps the order of
-    the k's."""
-    return k if k < d and d >= 2 else MAX_VERTICES
+def _verdict(cplx: SimplicialComplex, k: int, memo: _Memo) -> bool:
+    """k-decomposability read from the verdict record, or decided and
+    written to it; the record's one reader (see the module docstring).
+    ``memo`` is the recursion's node memo."""
+    d = cplx.dimension()
+    # k >= d, and every k when d <= 1, is the shelling search's key
+    key = k if k < d and d >= 2 else MAX_VERTICES
+    known = cplx._known(key)
+    if known is not None:
+        return known
+    if k >= d >= 2:
+        return shelling_order(cplx) is not None  # which records its answer
+    return cplx._learn(key, _decomposable(cplx.facets, k, memo))
 
 
 def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
@@ -276,20 +281,11 @@ def is_k_decomposable(cplx: SimplicialComplex, k: int) -> bool:
     shellability (Provan and Billera for pure complexes, Björner and Wachs
     for nonpure ones), so the shelling search answers when d ≥ 2; a
     complex of dimension at most 1 is k-decomposable iff its edges form one
-    connected graph.
-
-    A verdict the complex already records (see :func:`_key`) answers without
-    a search, and a verdict searched for joins the record."""
+    connected graph.  The complex's verdict record answers or keeps the
+    verdict (see :func:`_verdict`)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    d = cplx.dimension()
-    key = _key(d, k)
-    known = cplx._known(key)
-    if known is not None:
-        return known
-    if k >= d >= 2:
-        return shelling_order(cplx) is not None  # which records its answer
-    return cplx._learn(key, _decomposable(cplx.facets, k, {}))
+    return _verdict(cplx, k, {})
 
 
 def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
@@ -300,27 +296,15 @@ def shedding_faces(cplx: SimplicialComplex, k: int) -> list[Face]:
 
 
 def shedding_vertices(cplx: SimplicialComplex) -> list[Face]:
-    """Vertices passing :func:`is_shedding_vertex`, in position order.
-
-    The verdict record's answer to vertex-decomposability settles part of
-    the question: on a complex recorded not VD no vertex starts a
-    decomposition, so the list is empty; on one recorded VD every link is
-    VD, so a shedding vertex starts one iff its deletion is VD.  Otherwise
-    the walk decides each vertex, and its answer joins the record: the
-    complex is VD iff some vertex starts a decomposition or it is a
-    simplex."""
-    facets = cplx.facets
-    key = _key(cplx.dimension(), 0)
-    known = cplx._known(key)
-    if known is False:
-        return []
+    """Vertices passing :func:`is_shedding_vertex`, in position order: none
+    unless the complex is vertex-decomposable, and then, every link being
+    VD, the shedding vertices whose deletion is VD (see the module
+    docstring)."""
     memo: _Memo = {}
-    if known:
-        return [
-            v
-            for v in _shedding_faces(facets, 0)
-            if _decomposable([f for f in facets if v & ~f], 0, memo)
-        ]
-    found = list(_starts(facets, _shedding_faces(facets, 0), 0, memo))
-    cplx._learn(key, bool(found) or len(facets) == 1)
-    return found
+    if not _verdict(cplx, 0, memo):
+        return []
+    return [
+        v
+        for v in _shedding_faces(cplx.facets, 0)
+        if _decomposable([f for f in cplx.facets if v & ~f], 0, memo)
+    ]

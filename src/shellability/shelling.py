@@ -46,9 +46,8 @@ made over 24 million step tests (without the skip) and had no answer yet.
 
 This module computes and checks orders, and decides no verdict on a
 complex.  The search is complete, so :func:`shelling_order` writes its
-answer to the complex's verdict record, which
-:func:`~shellability.decomposability.is_k_decomposable`, behind
-:func:`~shellability.decomposability.is_shellable`, reads.
+answer to the complex's verdict record (see
+:mod:`~shellability.decomposability`).
 """
 
 from __future__ import annotations

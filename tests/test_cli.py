@@ -262,6 +262,12 @@ class TestCommands:
             main(["shelling-order", "--permutation", "1,x", DEMO])
         assert info.value.code == 2
         assert run(capsys, "info", str(DATA / "missing.cplx"))[0] == 2
+        # --random would shuffle the order --permutation gives, so the pair
+        # is refused before any search, with stdout empty
+        argv = ["shelling-order", "--random", "--seed", "3", "--permutation", "0,1,2,3,4,5,6,7"]
+        assert main([*argv, DEMO]) == 2
+        err = "error: --random and --permutation cannot be combined\n"
+        assert capsys.readouterr() == ("", err)
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.cplx"

@@ -14,6 +14,7 @@ from helpers import (
     brute_face_set,
     brute_first_shelling,
     brute_is_k_decomposable,
+    brute_is_shellable,
     brute_link,
     brute_shedding_faces,
     brute_shedding_vertices,
@@ -570,15 +571,16 @@ class TestVerdictRecord:
     def test_vertex_decomposition_leaves_only_deletions(self):
         # a work count: once VD is recorded, every link is VD, so
         # shedding_vertices decides only the deletions of the shedding
-        # vertices; on a fresh copy it walks links and deletions
+        # vertices; on a fresh copy it first decides VD, the root's search,
+        # and then the same deletions with that search's memo
         demo = demo_complex()
         assert is_vertex_decomposable(demo)
         with counted_calls(decomposability, "_decomposable", 9) as calls:
             assert words(demo, shedding_vertices(demo)) == list("abcdf")
         assert calls[0] == 9
-        with counted_calls(decomposability, "_decomposable", 14) as calls:
+        with counted_calls(decomposability, "_decomposable", 12) as calls:
             assert words(demo, shedding_vertices(fresh(demo))) == list("abcdf")
-        assert calls[0] == 14
+        assert calls[0] == 12
 
     @pytest.mark.parametrize(
         "c, verdict",
@@ -595,9 +597,9 @@ class TestVerdictRecord:
              "cycle64", "two_edges_and_a_point"],
     )
     def test_shedding_vertices_records_vertex_decomposability(self, c, verdict):
-        # the walk decides VD: yes iff some vertex starts a decomposition or
-        # the complex is a simplex, so VD then reads the record; the brute
-        # oracle does not finish on the 64-vertex cycle, a connected graph
+        # shedding_vertices decides VD first and records it, so VD then
+        # reads the record; the brute oracle does not finish on the
+        # 64-vertex cycle, a connected graph
         if c.vertices.n < 64:
             assert brute_is_k_decomposable(c, 0) == verdict
         copy = fresh(c)
@@ -606,17 +608,17 @@ class TestVerdictRecord:
             assert is_vertex_decomposable(copy) == verdict
         assert calls[0] == 0
 
-    def test_unrecorded_walk_on_the_census(self):
+    def test_verdict_then_deletions_on_the_census(self):
         # a work count: with nothing recorded, shedding_vertices on every
-        # complex on five labelled vertices runs the walk alone, so reading
-        # and writing the record adds no search
+        # complex on five labelled vertices decides VD first, then only the
+        # deletions of the shedding vertices of a VD complex, with one memo
         vs = vset("abcde")
         with counted_calls(decomposability, "_decomposable", 10**6) as calls, counted_calls(
             decomposability, "_shedding_faces", 10**6
         ) as enumerations:
             for facets in antichains(vs.n):
                 shedding_vertices(from_facets(vs, facets))
-        assert (calls[0], enumerations[0]) == (47_524, 12_597)
+        assert (calls[0], enumerations[0]) == (46_329, 17_487)
 
     def test_shelling_order_refutation_is_read_back(self):
         # a work count: shelling_order writes its refutation to the record,
@@ -643,7 +645,7 @@ class TestVerdictRecord:
         # the dimension and past MAX_VERTICES included, where every k is the
         # shelling key
         d = c.dimension()
-        shellable = brute_first_shelling(c.facets) is not None
+        shellable = brute_is_shellable(c.facets)
         for k in (0, 1, d, d + 1, MAX_VERTICES, MAX_VERTICES + 1, 10**6):
             expected = shellable if k >= d else brute_is_k_decomposable(c, k)
             assert is_k_decomposable(fresh(c), k) == expected, k
